@@ -27,10 +27,6 @@ def is_dominant(beta: Weight) -> bool:
     )
 
 
-def weight_sum(*weights: Weight) -> Weight:
-    return tuple(sum(t) for t in zip(*weights))
-
-
 def identity(n: int) -> SignedPermutation:
     return tuple(range(1, n + 1))
 

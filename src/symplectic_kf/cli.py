@@ -9,8 +9,8 @@ import os
 import sys
 
 from .algebra import is_dominant
-from .cyclage import CyclageGraph, charge, component
-from .kostant import kostka_def
+from .cyclage import ChainRepetitionError, CyclageGraph, charge, component
+from .kostant import PositivityError, kostka_def
 from .qpoly import QPolynomial
 from .recurrences import (
     charge_kostka,
@@ -18,9 +18,19 @@ from .recurrences import (
     kostka_row,
     verify_conjecture,
 )
-from .tableaux import format_tableau, insert_into_tableau, parse_tableau
+from .tableaux import (
+    SearchBudgetExceeded,
+    format_tableau,
+    insert_into_tableau,
+    is_symplectic,
+    minimal_rank,
+    parse_tableau,
+)
 
 JOBS_ENV_VAR = "KF_VERIFY_JOBS"
+
+# Failures a computation reports as a bug in the program, not in the input.
+_TYPED_ERRORS = (PositivityError, ChainRepetitionError, SearchBudgetExceeded)
 
 
 def _parse_partition(text: str, n: int | None = None) -> tuple[int, ...]:
@@ -98,9 +108,35 @@ def _dominant_vectors(n: int, max_weight: int):
             yield v
 
 
+def parse_jobs(text: str | None) -> int:
+    """Worker count for a sweep from KF_VERIFY_JOBS: 1 when unset, at most the CPU count."""
+    if text is None:
+        return 1
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise ValueError(f"{JOBS_ENV_VAR} must be an integer, got {text!r}")
+    if jobs <= 0:
+        raise ValueError(f"{JOBS_ENV_VAR} must be positive, got {jobs}")
+    return min(jobs, os.cpu_count() or 1)
+
+
+def _error_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _verify_pair(args):
     lam, mu, n = args
-    return verify_conjecture(lam, mu, n).to_record()
+    try:
+        return verify_conjecture(lam, mu, n).to_record()
+    except (ValueError, OverflowError) + _TYPED_ERRORS as exc:
+        return {
+            "lambda": list(lam),
+            "mu": list(mu),
+            "n": n,
+            "verdict": "error",
+            "error": _error_text(exc),
+        }
 
 
 def _run_sweep(n: int, max_weight: int, out: list[str]) -> int:
@@ -109,7 +145,7 @@ def _run_sweep(n: int, max_weight: int, out: list[str]) -> int:
         for lam in _dominant_vectors(n, max_weight)
         for mu in _dominant_vectors(n, max_weight)
     ]
-    jobs = int(os.environ.get(JOBS_ENV_VAR, "1"))
+    jobs = parse_jobs(os.environ.get(JOBS_ENV_VAR))
     if jobs > 1:
         import multiprocessing
 
@@ -118,6 +154,7 @@ def _run_sweep(n: int, max_weight: int, out: list[str]) -> int:
     else:
         records = [_verify_pair(p) for p in pairs]
     mismatches = [r for r in records if r["verdict"] == "mismatch"]
+    errors = [r for r in records if r["verdict"] == "error"]
     for r in mismatches:
         out.append(
             "mismatch: lambda={} mu={} definitional={} charge={}".format(
@@ -127,9 +164,20 @@ def _run_sweep(n: int, max_weight: int, out: list[str]) -> int:
                 json.dumps(r["charge"]),
             )
         )
+    for r in errors:
+        out.append(
+            "error: lambda={} mu={} {}".format(
+                ",".join(map(str, r["lambda"])),
+                ",".join(map(str, r["mu"])),
+                r["error"],
+            )
+        )
     out.append(f"checked: {len(records)} pairs")
     out.append(f"mismatches: {len(mismatches)}")
-    return 2 if mismatches else 0
+    out.append(f"errors: {len(errors)}")
+    if mismatches:
+        return 2
+    return 1 if errors else 0
 
 
 _VALUE_FLAGS = ("--tableau", "--lambda", "--mu", "--letter")
@@ -176,13 +224,18 @@ def run(argv) -> tuple[int, str]:
             out.append(poly_json(poly).rstrip("\n") if args.format == "json" else str(poly))
         elif args.command == "charge":
             tab = parse_tableau(args.tableau)
+            if not is_symplectic(tab, args.n):
+                raise ValueError(f"{args.tableau!r} is not a {args.n}-symplectic tableau")
             out.append(str(charge(tab, args.n)))
         elif args.command == "cyclage-graph":
-            graph = component(parse_tableau(args.tableau))
+            tab = parse_tableau(args.tableau)
+            minimal_rank(tab)  # raises ValueError unless symplectic at some rank
+            graph = component(tab)
             text = emit_dot(graph) if args.format == "dot" else emit_json(graph)
             out.append(text.rstrip("\n"))
         elif args.command == "insert":
             tab = parse_tableau(args.tableau) if args.tableau else ()
+            minimal_rank(tab)
             result = insert_into_tableau(args.letter, tab)
             out.append(format_tableau(result))
         elif args.command == "verify":
@@ -198,6 +251,9 @@ def run(argv) -> tuple[int, str]:
             return code, "\n".join(out) + "\n"
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1, ""
+    except _TYPED_ERRORS as exc:
+        print(f"error: {_error_text(exc)}", file=sys.stderr)
         return 1, ""
     return 0, "\n".join(out) + "\n"
 

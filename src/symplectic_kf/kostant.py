@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from .algebra import Weight, act, is_dominant, rho, weyl_group
+from .algebra import Weight, is_dominant, rho
 from .qpoly import QPolynomial
 
-_KOSTANT_MEMO: dict[tuple[int, Weight], QPolynomial] = {}
+# Entries one rank's state memo may hold before it is emptied wholesale.  At
+# rank 6 one Weyl sum such as K_{(2,2,2,2,2,0),0} fills about 67k entries of
+# about 640 bytes each, so the cap leaves room for a sweep and bounds a
+# rank's memo near 130 MB.
+_MEMO_CAP = 200_000
+
+# What every state that cannot be completed counts to.  Shared, never stored
+# in a memo, and never mutated.
+_NO_WAYS: dict[int, int] = {}
 
 
 class PositivityError(RuntimeError):
@@ -47,62 +53,116 @@ def in_positive_root_cone(beta: Weight) -> bool:
     return s % 2 == 0
 
 
+class _KostantTable:
+    """The rank-n roots and one memo of partial counts shared by every beta.
+
+    A state ``(idx, remaining)`` stands for the ways to write ``remaining`` as
+    a sum of the roots ``roots[idx:]``, as exponent -> count with one q per
+    root used.  Roots come in leading-position order, so once the roots with
+    first support ``p`` are used up, coordinate ``p`` of the remainder must be
+    zero; and the remainder must stay in the root cone.  States failing either
+    test count to nothing and are never stored, which keeps the memo to the
+    states that can still be completed.
+    """
+
+    def __init__(self, n: int):
+        self.roots = positive_roots(n)
+        # one entry past the last root: with every root used, all n coordinates are done
+        self.first_support = [next(i for i, x in enumerate(r) if x) for r in self.roots] + [n]
+        self.rho = rho(n)
+        self.heights = [sum(a * x for a, x in zip(self.rho, r)) for r in self.roots]
+        self.memo: dict[tuple[int, Weight], dict[int, int]] = {}
+
+    def count(self, idx: int, remaining: Weight) -> dict[int, int]:
+        if any(remaining[: self.first_support[idx]]) or not in_positive_root_cone(remaining):
+            return _NO_WAYS
+        if idx == len(self.roots):
+            return {0: 1}
+        key = (idx, remaining)
+        memo = self.memo
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        h = sum(a * x for a, x in zip(self.rho, remaining))
+        a = self.roots[idx]
+        out: dict[int, int] = {}
+        for k in range(h // self.heights[idx] + 1):
+            sub = self.count(idx + 1, tuple(x - k * y for x, y in zip(remaining, a)))
+            for e, c in sub.items():
+                out[e + k] = out.get(e + k, 0) + c
+        if len(memo) >= _MEMO_CAP:
+            memo.clear()
+        memo[key] = out
+        return out
+
+
+_TABLES: dict[int, _KostantTable] = {}
+
+
+def clear_caches() -> None:
+    """Drop every rank's q-Kostant memo."""
+    _TABLES.clear()
+
+
+def cache_sizes() -> dict[int, int]:
+    """Entries held in the q-Kostant memo of each rank built so far."""
+    return {n: len(t.memo) for n, t in sorted(_TABLES.items())}
+
+
 def q_kostant(beta: Weight) -> QPolynomial:
     """Number of ways to write beta as a sum of exactly k positive roots, as q^k.
 
-    Bounded dynamic programming over the roots in leading-position order:
-    once all roots touching a coordinate have been consumed, that coordinate
-    of the remainder must be exactly zero, which prunes hard.  Results are
-    memoized per (rank, beta) across calls.
+    Bounded dynamic programming over the roots in leading-position order,
+    memoized per rank in a table shared by every beta of that rank.
     """
     n = len(beta)
-    key = (n, beta)
-    cached = _KOSTANT_MEMO.get(key)
-    if cached is not None:
-        return cached
-    if not in_positive_root_cone(beta):
-        result = QPolynomial.zero()
-        _KOSTANT_MEMO[key] = result
-        return result
-    roots = positive_roots(n)
-    first_support = [next(i for i, x in enumerate(r) if x) for r in roots]
-    rhov = rho(n)
+    table = _TABLES.get(n)
+    if table is None:
+        table = _TABLES[n] = _KostantTable(n)
+    return QPolynomial(table.count(0, beta))
 
-    def height(v):
-        return sum(r * x for r, x in zip(rhov, v))
 
-    root_heights = [height(r) for r in roots]
+def _weyl_terms(lam_rho: Weight, mu_rho: Weight):
+    """Yield (sign, beta) for each w with beta = w(lam_rho) - mu_rho in the root cone.
 
-    @lru_cache(maxsize=None)
-    def count(idx: int, remaining: Weight):
-        if idx == len(roots):
-            return {0: 1} if not any(remaining) else {}
-        fs = first_support[idx]
-        if any(remaining[p] for p in range(fs)):
-            return {}
-        h = height(remaining)
-        if h < 0:
-            return {}
-        a = roots[idx]
-        out: dict[int, int] = {}
-        for k in range(h // root_heights[idx] + 1):
-            sub = count(idx + 1, tuple(x - k * a[i] for i, x in enumerate(remaining)))
-            for e, c in sub.items():
-                out[e + k] = out.get(e + k, 0) + c
-        return out
+    Builds w(lam_rho) one coordinate at a time, each coordinate +-lam_rho[j]
+    for an unused j, and cuts a branch as soon as a prefix sum of beta goes
+    negative.  lam_rho is strictly decreasing and positive, so each signed
+    permutation gives a distinct vector, and its sign (-1)^l(w) is the parity
+    of inversions plus sign flips, as in ``algebra.straighten``.
+    """
+    n = len(lam_rho)
+    used = [False] * n
+    beta = [0] * n
 
-    result = QPolynomial(count(0, beta))
-    count.cache_clear()
-    _KOSTANT_MEMO[key] = result
-    return result
+    def rec(i: int, prefix: int, parity: int):
+        if i == n:
+            if prefix % 2 == 0:
+                yield (-1 if parity else 1), tuple(beta)
+            return
+        target = mu_rho[i]
+        for j in range(n):
+            if used[j]:
+                continue
+            inversions = sum(used[j + 1:])
+            used[j] = True
+            for value, flip in ((lam_rho[j], 0), (-lam_rho[j], 1)):
+                b = value - target
+                if prefix + b >= 0:
+                    beta[i] = b
+                    yield from rec(i + 1, prefix + b, (parity + inversions + flip) % 2)
+            used[j] = False
+
+    yield from rec(0, 0, 0)
 
 
 def kostka_def(lam: Weight, mu: Weight) -> QPolynomial:
     """Alternating Weyl-group sum over the q-Kostant partition function.
 
-    Both arguments must be dominant weights of the same rank.  The result is
-    checked for nonnegative coefficients; a violation signals a bug, not a
-    property of the inputs.
+    Both arguments must be dominant weights of the same rank.  Only the Weyl
+    terms whose beta lies in the positive root cone are visited; the rest are
+    zero.  The result is checked for nonnegative coefficients; a violation
+    signals a bug, not a property of the inputs.
     """
     n = len(lam)
     if len(mu) != n:
@@ -115,11 +175,7 @@ def kostka_def(lam: Weight, mu: Weight) -> QPolynomial:
     lam_rho = tuple(a + b for a, b in zip(lam, rhov))
     mu_rho = tuple(a + b for a, b in zip(mu, rhov))
     total: dict[int, int] = {}
-    for sigma, length in weyl_group(n):
-        beta = tuple(a - b for a, b in zip(act(sigma, lam_rho), mu_rho))
-        if not in_positive_root_cone(beta):
-            continue
-        sign = -1 if length % 2 else 1
+    for sign, beta in _weyl_terms(lam_rho, mu_rho):
         for e, c in q_kostant(beta).coefficients().items():
             total[e] = total.get(e, 0) + sign * c
     result = QPolynomial(total)

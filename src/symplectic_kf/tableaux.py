@@ -55,10 +55,6 @@ def reading(tab: Tableau) -> Word:
     return tuple(out)
 
 
-def column_heights(tab: Tableau) -> tuple[int, ...]:
-    return tuple(len(c) for c in tab)
-
-
 def shape(tab: Tableau) -> tuple[int, ...]:
     """Row lengths of the underlying Young diagram, longest first."""
     if not tab:

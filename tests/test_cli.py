@@ -3,7 +3,8 @@ import json
 import pytest
 
 from symplectic_kf import cli
-from symplectic_kf.cyclage import component
+from symplectic_kf.cyclage import ChainRepetitionError, component
+from symplectic_kf.kostant import PositivityError
 from symplectic_kf.qpoly import parse_poly
 from symplectic_kf.tableaux import parse_tableau
 
@@ -144,6 +145,9 @@ def test_verify_mismatch_exit_code(monkeypatch):
         ("kostka", "--method", "morris", "-n", "2", "--lambda", "2,2", "--mu", "1,1"),
         ("charge", "-n", "2", "--tableau", "2,1"),
         ("verify", "-n", "2"),  # neither bounds nor pair
+        ("charge", "-n", "1", "--tableau", "1;-1"),  # not 1-symplectic
+        ("cyclage-graph", "--tableau", "2;1"),  # symplectic at no rank
+        ("insert", "--tableau", "2;1", "--letter", "1"),
     ],
 )
 def test_domain_errors_exit_one(argv, capsys):
@@ -151,3 +155,51 @@ def test_domain_errors_exit_one(argv, capsys):
     assert code == 1
     assert out == ""
     assert "error:" in capsys.readouterr().err
+
+
+def test_typed_errors_exit_one(monkeypatch, capsys):
+    def fail(lam, mu):
+        raise PositivityError("negative coefficient")
+
+    monkeypatch.setattr(cli, "kostka_def", fail)
+    code, out = run("kostka", "-n", "2", "--lambda", "2,0", "--mu", "0,0")
+    assert code == 1
+    assert out == ""
+    assert "error: PositivityError: negative coefficient" in capsys.readouterr().err
+
+
+def test_verify_sweep_reports_error_pairs(monkeypatch):
+    monkeypatch.delenv(cli.JOBS_ENV_VAR, raising=False)
+    real = cli.verify_conjecture
+
+    def flaky(lam, mu, n):
+        if lam == (1, 1) and mu == (0, 0):
+            raise ChainRepetitionError("revisited")
+        return real(lam, mu, n)
+
+    monkeypatch.setattr(cli, "verify_conjecture", flaky)
+    code, out = run("verify", "-n", "2", "--max-weight", "2")
+    assert code == 1
+    assert "error: lambda=1,1 mu=0,0 ChainRepetitionError: revisited" in out
+    assert "checked: 16 pairs" in out
+    assert "mismatches: 0" in out
+    assert "errors: 1" in out
+
+
+def test_parse_jobs(monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    assert cli.parse_jobs(None) == 1
+    assert cli.parse_jobs("3") == 3
+    assert cli.parse_jobs("64") == 4
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli.parse_jobs("8") == 1
+    for bad in ("0", "-2", "two", "1.5", ""):
+        with pytest.raises(ValueError):
+            cli.parse_jobs(bad)
+
+
+def test_verify_rejects_bad_jobs(monkeypatch, capsys):
+    monkeypatch.setenv(cli.JOBS_ENV_VAR, "0")
+    code, out = run("verify", "-n", "2", "--max-weight", "2")
+    assert code == 1
+    assert cli.JOBS_ENV_VAR in capsys.readouterr().err

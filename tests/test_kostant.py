@@ -3,8 +3,12 @@ import random
 
 import pytest
 
-from symplectic_kf.algebra import rho
+from symplectic_kf import kostant
+from symplectic_kf.algebra import act, rho, weyl_group
 from symplectic_kf.kostant import (
+    _weyl_terms,
+    cache_sizes,
+    clear_caches,
     in_positive_root_cone,
     kostka_def,
     positive_roots,
@@ -131,3 +135,54 @@ def test_kostka_def_coefficients_nonnegative():
     for lam in dominant_vectors(3, 5):
         for mu in dominant_vectors(3, 5):
             assert kostka_def(lam, mu).is_nonnegative()
+
+
+def all_weyl_terms(lam, mu):
+    """Reference: every signed permutation, kept when beta lies in the root cone."""
+    n = len(lam)
+    rhov = rho(n)
+    lam_rho = tuple(a + b for a, b in zip(lam, rhov))
+    mu_rho = tuple(a + b for a, b in zip(mu, rhov))
+    out = []
+    for sigma, length in weyl_group(n):
+        beta = tuple(a - b for a, b in zip(act(sigma, lam_rho), mu_rho))
+        if in_positive_root_cone(beta):
+            out.append((-1 if length % 2 else 1, beta))
+    return lam_rho, mu_rho, sorted(out)
+
+
+@pytest.mark.parametrize("n,size", [(1, 6), (2, 5), (3, 4), (4, 3)])
+def test_pruned_weyl_terms_match_full_group(n, size):
+    for lam in dominant_vectors(n, size):
+        for mu in dominant_vectors(n, size):
+            lam_rho, mu_rho, want = all_weyl_terms(lam, mu)
+            assert sorted(_weyl_terms(lam_rho, mu_rho)) == want, (lam, mu)
+
+
+# K_{(2,2,2,2,2,0),0}, computed once by the loop over all 46080 signed
+# permutations with a fresh q-Kostant DP per beta (about 3 minutes)
+GOLDEN_222220 = {
+    5: 1, 7: 2, 9: 4, 11: 7, 13: 11, 14: 1, 15: 15, 16: 2, 17: 18, 18: 3,
+    19: 20, 20: 4, 21: 20, 22: 5, 23: 18, 24: 5, 25: 15, 26: 4, 27: 11,
+    28: 3, 29: 7, 30: 2, 31: 4, 32: 1, 33: 2, 35: 1,
+}
+
+
+def test_kostka_def_rank6_golden():
+    assert kostka_def((2, 2, 2, 2, 2, 0), (0,) * 6) == QPolynomial(GOLDEN_222220)
+
+
+def test_clear_caches_empties_memo():
+    kostka_def((2, 1, 1), (0, 0, 0))
+    assert sum(cache_sizes().values()) > 0
+    clear_caches()
+    assert sum(cache_sizes().values()) == 0
+
+
+def test_memo_cap_keeps_results(monkeypatch):
+    want = kostka_def((4, 3, 2, 1), (0, 0, 0, 0))
+    clear_caches()
+    monkeypatch.setattr(kostant, "_MEMO_CAP", 50)
+    assert kostka_def((4, 3, 2, 1), (0, 0, 0, 0)) == want
+    assert 0 < cache_sizes()[4] <= 50
+    clear_caches()
