@@ -6,6 +6,7 @@ statistic over symplectic tableaux — plus the crystal-word, insertion and
 cyclage-graph machinery the charge route is built on.
 """
 
+from . import kostant, recurrences, tableaux
 from .algebra import (
     act,
     dot_act,
@@ -37,7 +38,7 @@ from .cyclage import (
     reduce,
     translate,
 )
-from .kostant import cache_sizes, clear_caches, kostka_def, positive_roots, q_kostant
+from .kostant import cache_sizes, kostka_def, positive_roots, q_kostant
 from .qpoly import QPolynomial, format_poly, parse_poly
 from .recurrences import (
     VerificationReport,
@@ -63,6 +64,18 @@ from .tableaux import (
     reading,
     reverse_insert,
 )
+
+
+def clear_caches() -> None:
+    """Empty every table and memo the package keeps.
+
+    That is each rank's q-Kostant memo, each rank's column tables with their
+    successor lists, and the Pieri memo.  All of them refill on demand.
+    """
+    kostant.clear_caches()
+    tableaux.clear_caches()
+    recurrences.clear_caches()
+
 
 __all__ = [
     "QPolynomial",

@@ -26,15 +26,35 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
+# (gamma, r, n) -> the Pieri multiplicities as (lambda, count) pairs, built on
+# first use; the rank-lowering recurrence asks for the same few again and again.
+_PIERI_MEMO: dict[tuple[Weight, int, int], tuple[tuple[Weight, int], ...]] = {}
+
+
+def clear_caches() -> None:
+    """Drop the Pieri memo."""
+    _PIERI_MEMO.clear()
+
+
 def pieri(gamma: Weight, r: int, n: int) -> dict[Weight, int]:
     """Multiplicities n_lambda in the product of B(gamma) with the rank-n row crystal.
 
     Enumerates the tuples (k_1bar..k_nbar, k_1..k_n) summing to r; each
     solution of the three interleaving conditions contributes one copy of the
-    weight lambda with lambda_ibar = gamma_ibar - k_i + k_ibar.
+    weight lambda with lambda_ibar = gamma_ibar - k_i + k_ibar.  Memoised per
+    (gamma, r, n); every call returns a fresh dict.
     """
+    gamma = tuple(gamma)
     if len(gamma) != n or not is_dominant(gamma):
         raise ValueError(f"{gamma} is not a dominant rank-{n} weight")
+    key = (gamma, r, n)
+    terms = _PIERI_MEMO.get(key)
+    if terms is None:
+        terms = _PIERI_MEMO[key] = tuple(_pieri_count(gamma, r, n).items())
+    return dict(terms)
+
+
+def _pieri_count(gamma: Weight, r: int, n: int) -> dict[Weight, int]:
     out: dict[Weight, int] = {}
     for ks in _compositions(r, 2 * n):
         kbar, kun = ks[:n], ks[n:]  # k_ibar, k_i indexed by i-1

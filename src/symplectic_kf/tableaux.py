@@ -11,7 +11,8 @@ Example: ``-4,-2,2;-3,-2;-2,-1``.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from operator import sub
+from typing import NamedTuple
 
 from .algebra import Weight, is_dominant
 from .crystal import Word, word_weight
@@ -141,15 +142,77 @@ def minimal_rank(tab: Tableau) -> int:
     return n
 
 
-@lru_cache(maxsize=None)
+class _ColumnTable(NamedTuple):
+    """The n-admissible columns of one height, sorted, with per-column data."""
+
+    columns: tuple[Column, ...]
+    left: tuple[Column, ...]  # lC of each column
+    right: tuple[Column, ...]  # rC of each column
+    weights: tuple[Weight, ...]
+
+
+class _ColumnGraph:
+    """The rank-n column tables and the successor lists between them.
+
+    ``table(h)`` holds the admissible columns of height h; ``successors(h1, h2)``
+    gives, for each height-h1 column C, the indices of the height-h2 columns
+    C' with rC <= lC', the condition for C' to stand right of C in a tableau.
+    Both are built on first use and kept until ``clear_caches``.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.tables: dict[int, _ColumnTable] = {}
+        self.succ: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
+
+    def table(self, height: int) -> _ColumnTable:
+        table = self.tables.get(height)
+        if table is None:
+            n = self.n
+            letters = list(range(-n, 0)) + list(range(1, n + 1))
+            splits = {}
+            for col in itertools.combinations(letters, height):
+                split = admissible_split(col, n)
+                if split is not None:
+                    splits[col] = split
+            table = self.tables[height] = _ColumnTable(
+                tuple(splits),
+                tuple(l_col for l_col, _ in splits.values()),
+                tuple(r_col for _, r_col in splits.values()),
+                tuple(word_weight(col, n) for col in splits),
+            )
+        return table
+
+    def successors(self, h1: int, h2: int) -> tuple[tuple[int, ...], ...]:
+        key = (h1, h2)
+        succ = self.succ.get(key)
+        if succ is None:
+            left = self.table(h2).left
+            succ = self.succ[key] = tuple(
+                tuple(j for j, l_col in enumerate(left) if column_leq(r_col, l_col))
+                for r_col in self.table(h1).right
+            )
+        return succ
+
+
+_GRAPHS: dict[int, _ColumnGraph] = {}
+
+
+def _column_graph(n: int) -> _ColumnGraph:
+    graph = _GRAPHS.get(n)
+    if graph is None:
+        graph = _GRAPHS[n] = _ColumnGraph(n)
+    return graph
+
+
+def clear_caches() -> None:
+    """Drop every rank's column tables and successor lists."""
+    _GRAPHS.clear()
+
+
 def admissible_columns(height: int, n: int) -> tuple[Column, ...]:
     """All n-admissible columns of the given height, sorted."""
-    letters = list(range(-n, 0)) + list(range(1, n + 1))
-    return tuple(
-        c
-        for c in itertools.combinations(letters, height)
-        if admissible_split(c, n) is not None
-    )
+    return _column_graph(n).table(height).columns
 
 
 # ---------------------------------------------------------------- insertion
@@ -373,37 +436,41 @@ def plactic_equivalent(w1: Word, w2: Word, n: int, budget: int = 20000) -> bool:
 def enumerate_tableaux(lam, mu: Weight, n: int) -> list[Tableau]:
     """All n-symplectic tableaux of shape lam whose reading has weight mu.
 
-    Column-by-column backtracking with the split compatibility test; the
-    result is sorted lexicographically by reading.
+    Column-by-column backtracking over the rank-n column graph: the first
+    column ranges over its whole table, each later one over the successors of
+    the column left of it.  The result is sorted lexicographically by reading.
     """
     if not is_dominant(tuple(lam)):
         raise ValueError(f"{lam} is not dominant")
-    heights = conjugate_heights(lam)
     mu = tuple(mu)
+    if len(mu) != n:
+        raise ValueError(f"weight {mu} has {len(mu)} entries, not {n}")
+    heights = conjugate_heights(lam)
     if not heights:
         return [()] if not any(mu) else []
-    pool = {h: admissible_columns(h, n) for h in set(heights)}
-    boxes_after = [sum(heights[i:]) for i in range(len(heights) + 1)]
+    graph = _column_graph(n)
+    tables = [graph.table(h) for h in heights]
+    succ = [graph.successors(h1, h2) for h1, h2 in zip(heights, heights[1:])]
+    boxes_after = [sum(heights[i:]) for i in range(len(heights))]
+    last = len(heights) - 1
+    cols: list[Column] = [()] * len(heights)
     results = []
 
-    def recurse(idx, cols, diff):
-        if idx == len(heights):
-            if not any(diff):
-                results.append(tuple(cols))
-            return
+    def walk(idx, candidates, diff):
         # each remaining box changes one weight entry by +-1
-        if sum(abs(d) for d in diff) > boxes_after[idx]:
+        if sum(map(abs, diff)) > boxes_after[idx]:
             return
-        prev_r = admissible_split(cols[-1], n)[1] if cols else None
-        for col in pool[heights[idx]]:
-            if prev_r is not None and not column_leq(prev_r, admissible_split(col, n)[0]):
-                continue
-            newdiff = list(diff)
-            for x in col:
-                newdiff[n - abs(x)] -= 1 if x < 0 else -1
-            cols.append(col)
-            recurse(idx + 1, cols, newdiff)
-            cols.pop()
+        columns, weights = tables[idx].columns, tables[idx].weights
+        if idx == last:
+            for j in candidates:
+                if weights[j] == diff:
+                    cols[idx] = columns[j]
+                    results.append(tuple(cols))
+            return
+        nxt = succ[idx]
+        for j in candidates:
+            cols[idx] = columns[j]
+            walk(idx + 1, nxt[j], tuple(map(sub, diff, weights[j])))
 
-    recurse(0, [], list(mu))
+    walk(0, range(len(tables[0].columns)), mu)
     return sorted(results, key=reading)

@@ -7,7 +7,7 @@ lines as they complete.
 import itertools
 import time
 
-from symplectic_kf import cli, kostant
+from symplectic_kf import cli, clear_caches
 from symplectic_kf.cyclage import (
     charge,
     charge_chain,
@@ -50,7 +50,7 @@ def _report(num, ok, detail=""):
 
 
 def _cold_caches():
-    kostant.clear_caches()
+    clear_caches()
 
 
 def dominant_vectors(n, size):

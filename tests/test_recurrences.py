@@ -27,6 +27,9 @@ def test_pieri_fixtures():
     assert pieri((0,), 1, 1) == {(1,): 1}
     assert pieri((1,), 1, 1) == {(2,): 1, (0,): 1}
     assert pieri((1, 0), 1, 2) == {(2, 0): 1, (1, 1): 1, (0, 0): 1}
+    # memoised, yet each call hands out its own dict
+    pieri((1, 0), 1, 2).clear()
+    assert pieri((1, 0), 1, 2) == {(2, 0): 1, (1, 1): 1, (0, 0): 1}
 
 
 def highest_tableau_reading(gamma, n):
@@ -169,6 +172,11 @@ def test_verify_conjecture_reports():
     report = verify_conjecture((2, 1), (2, 1), 2)
     assert report.verdict == "match"
     assert [c for _, c in report.tableau_charges] == [0]
+
+
+def test_verify_conjecture_rejects_wrong_length_weight():
+    with pytest.raises(ValueError):
+        verify_conjecture((2, 0), (0, 0), 3)
 
 
 def test_report_serialization():

@@ -3,8 +3,10 @@ import random
 
 import pytest
 
-from symplectic_kf.crystal import crystal_lower, weyl_reflect
-from symplectic_kf.kostant import kostka_def
+from symplectic_kf import clear_caches, recurrences, tableaux
+from symplectic_kf.crystal import crystal_lower, weyl_reflect, word_weight
+from symplectic_kf.kostant import cache_sizes, kostka_def
+from symplectic_kf.recurrences import pieri
 from symplectic_kf.tableaux import (
     SearchBudgetExceeded,
     admissible_columns,
@@ -241,11 +243,34 @@ def dominant_vectors(n, size):
             yield v
 
 
-def test_counts_match_weight_multiplicities_rank2():
-    for lam in dominant_vectors(2, 4):
-        for mu in dominant_vectors(2, 4):
-            count = len(enumerate_tableaux(lam, mu, 2))
+def check_counts_match_weight_multiplicities(n, size):
+    for lam in dominant_vectors(n, size):
+        for mu in dominant_vectors(n, size):
+            count = len(enumerate_tableaux(lam, mu, n))
             assert count == kostka_def(lam, mu)(1), (lam, mu)
+
+
+def test_counts_match_weight_multiplicities_rank2():
+    check_counts_match_weight_multiplicities(2, 4)
+
+
+def test_counts_match_weight_multiplicities_rank3():
+    check_counts_match_weight_multiplicities(3, 6)
+
+
+def test_enumerate_rejects_wrong_length_weight():
+    with pytest.raises(ValueError):
+        enumerate_tableaux((1, 0, 0), (1, 0, 0, 0), 3)
+
+
+def test_clear_caches_rebuilds_column_tables():
+    first = enumerate_tableaux((2, 2, 0), (0, 0, 0), 3)
+    pieri((1, 0), 1, 2)
+    assert tableaux._GRAPHS[3].tables and recurrences._PIERI_MEMO
+    clear_caches()
+    assert not tableaux._GRAPHS and not recurrences._PIERI_MEMO and not cache_sizes()
+    assert enumerate_tableaux((2, 2, 0), (0, 0, 0), 3) == first
+    assert tableaux._GRAPHS[3].tables
 
 
 def crystal_closure_readings(lam, n):
@@ -264,18 +289,27 @@ def crystal_closure_readings(lam, n):
     return seen
 
 
-def all_symplectic_readings(lam, n):
+def reference_tableaux(lam, n):
+    """Every n-symplectic tableau of shape lam, by plain backtracking.
+
+    The reference for enumerate_tableaux: candidate columns come straight from
+    admissible_split, and each is tested against the split of its left
+    neighbour; nothing is precomputed or pruned.
+    """
     heights = conjugate_heights(lam)
-    if not heights:
-        return {()}
-    out = set()
+    letters = [v for v in range(-n, n + 1) if v]
+    pools = {
+        h: [c for c in itertools.combinations(letters, h) if admissible_split(c, n) is not None]
+        for h in set(heights)
+    }
+    out = []
 
     def recurse(idx, cols):
         if idx == len(heights):
-            out.add(reading(tuple(cols)))
+            out.append(tuple(cols))
             return
         prev_r = admissible_split(cols[-1], n)[1] if cols else None
-        for col in admissible_columns(heights[idx], n):
+        for col in pools[heights[idx]]:
             if prev_r is not None and not column_leq(
                 prev_r, admissible_split(col, n)[0]
             ):
@@ -288,13 +322,30 @@ def all_symplectic_readings(lam, n):
     return out
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_enumeration_matches_reference(n):
+    # the same tableaux in the same order, for every weight, zero or not
+    for lam in dominant_vectors(n, 6):
+        by_weight = {}
+        for tab in reference_tableaux(lam, n):
+            by_weight.setdefault(tableau_weight(tab, n), []).append(tab)
+        for mu in dominant_vectors(n, 6):
+            expected = sorted(by_weight.get(mu, []), key=reading)
+            assert enumerate_tableaux(lam, mu, n) == expected, (lam, mu)
+
+
 @pytest.mark.parametrize(
     "lam,n",
     [((2, 1, 0), 3), ((2, 2, 0), 3), ((1, 1, 1), 3), ((2, 2, 2, 2), 4)],
 )
 def test_crystal_closure_equals_enumeration(lam, n):
     # the lowering operators regenerate exactly the symplectic readings
-    assert crystal_closure_readings(lam, n) == all_symplectic_readings(lam, n)
+    closure = crystal_closure_readings(lam, n)
+    assert closure == {reading(tab) for tab in reference_tableaux(lam, n)}
+    # weight by weight, dominant or not, in reading order
+    for mu in {word_weight(w, n) for w in closure}:
+        found = [reading(tab) for tab in enumerate_tableaux(lam, mu, n)]
+        assert found == sorted(w for w in closure if word_weight(w, n) == mu), mu
 
 
 def test_insertion_commutes_with_weyl_action():
