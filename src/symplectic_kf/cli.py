@@ -66,9 +66,7 @@ def emit_json(graph: CyclageGraph) -> str:
 
 
 def poly_json(p: QPolynomial) -> str:
-    return json.dumps(
-        {"poly": {str(e): c for e, c in sorted(p.coefficients().items())}}
-    ) + "\n"
+    return json.dumps({"poly": p.to_record()}) + "\n"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -208,6 +206,8 @@ def run(argv) -> tuple[int, str]:
         return (0 if exc.code in (0, None) else 1), ""
     out: list[str] = []
     try:
+        if getattr(args, "n", 1) < 1:  # kostka, charge and verify take -n
+            raise ValueError(f"-n must be at least 1, got {args.n}")
         if args.command == "kostka":
             lam = _parse_partition(args.lam, args.n)
             mu = _parse_partition(args.mu, args.n)
@@ -236,9 +236,13 @@ def run(argv) -> tuple[int, str]:
         elif args.command == "insert":
             tab = parse_tableau(args.tableau) if args.tableau else ()
             minimal_rank(tab)
+            if args.letter == 0:
+                raise ValueError("0 is not a letter")
             result = insert_into_tableau(args.letter, tab)
             out.append(format_tableau(result))
         elif args.command == "verify":
+            if args.max_weight is not None and args.max_weight < 0:
+                raise ValueError(f"--max-weight must be nonnegative, got {args.max_weight}")
             if args.lam is not None and args.mu is not None:
                 lam = _parse_partition(args.lam, args.n)
                 mu = _parse_partition(args.mu, args.n)

@@ -6,20 +6,32 @@ order realizes nbar < ... < 1bar < 1 < ... < n.  Words are tuples of letters.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 from .algebra import Weight
 
 Word = tuple[int, ...]
 
 
+def weight_counts(letters: Iterable[int]) -> dict[int, int]:
+    """The nonzero d_kbar (barred count minus unbarred count of k), keyed by k.
+
+    Rank-free: charge chains carry letters above the rank they started at.
+    """
+    d: dict[int, int] = {}
+    for x in letters:
+        k = abs(x)
+        d[k] = d.get(k, 0) + (1 if x < 0 else -1)
+    return {k: v for k, v in d.items() if v}
+
+
 def word_weight(w: Word, n: int) -> Weight:
     """(d_nbar, ..., d_1bar): barred count minus unbarred count per value."""
-    d = [0] * n
     for x in w:
-        k = abs(x)
-        if not 1 <= k <= n:
+        if not 1 <= abs(x) <= n:
             raise ValueError(f"letter {x} outside rank-{n} alphabet")
-        d[n - k] += 1 if x < 0 else -1
-    return tuple(d)
+    d = weight_counts(w)
+    return tuple(d.get(k, 0) for k in range(n, 0, -1))
 
 
 def _signed_positions(w: Word, i: int) -> tuple[list[int], list[int]]:

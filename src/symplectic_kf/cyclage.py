@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .algebra import is_dominant
-from .crystal import Word
+from .crystal import Word, weight_counts
 from .tableaux import (
     Column,
     Tableau,
@@ -36,33 +37,12 @@ def translate_word(w: Word) -> Word:
 
 def translate(tab: Tableau) -> Tableau:
     """t applied to every letter of the tableau."""
-    return tuple(tuple(x + 1 if x > 0 else x - 1 for x in col) for col in tab)
-
-
-def _weight_counts(tab: Tableau) -> dict[int, int]:
-    """Nonzero d_kbar values, keyed by k."""
-    d: dict[int, int] = {}
-    for col in tab:
-        for x in col:
-            d[abs(x)] = d.get(abs(x), 0) + (1 if x < 0 else -1)
-    return {k: v for k, v in d.items() if v}
+    return tuple(translate_word(col) for col in tab)
 
 
 def weight_support_rank(tab: Tableau) -> int:
     """Largest k with d_kbar nonzero; 0 for weight-zero tableaux."""
-    d = _weight_counts(tab)
-    return max(d, default=0)
-
-
-def has_zero_weight(tab: Tableau) -> bool:
-    return not _weight_counts(tab)
-
-
-def has_dominant_weight(tab: Tableau) -> bool:
-    d = _weight_counts(tab)
-    m = max(d, default=0)
-    vec = tuple(d.get(k, 0) for k in range(m, 0, -1))
-    return is_dominant(vec)
+    return max(weight_counts(chain.from_iterable(tab)), default=0)
 
 
 def is_authorized(tab: Tableau) -> bool:
@@ -113,6 +93,23 @@ def _reduction_step(tab: Tableau) -> Tableau:
     return tuple(out)
 
 
+def _check_chain_start(tab: Tableau, n: int) -> None:
+    d = weight_counts(chain.from_iterable(tab))
+    m = max(d, default=0)
+    if not is_dominant(tuple(d.get(k, 0) for k in range(m, 0, -1))):
+        raise ValueError(f"weight of {format_tableau(tab)} is not dominant")
+    if m > n:
+        raise ValueError(f"weight of {format_tableau(tab)} exceeds rank {n}")
+
+
+def _reductions(tab: Tableau):
+    """Yield each $-operation's result until the cocyclage is defined or a
+    weight-0 column (or the empty tableau) remains."""
+    while not (is_authorized(tab) if len(tab) > 1 else weight_support_rank(tab) == 0):
+        tab = _reduction_step(tab)
+        yield tab
+
+
 def reduce(tab: Tableau, n: int) -> tuple[Tableau, int]:
     """Apply $-operations until the cocyclage is defined or a weight-0 column.
 
@@ -121,18 +118,10 @@ def reduce(tab: Tableau, n: int) -> tuple[Tableau, int]:
     (0 once the weight vanishes).  An already-authorized tableau is returned
     unchanged.
     """
-    if not has_dominant_weight(tab):
-        raise ValueError(f"weight of {format_tableau(tab)} is not dominant")
-    if weight_support_rank(tab) > n:
-        raise ValueError(f"weight of {format_tableau(tab)} exceeds rank {n}")
-    cur = tab
-    while True:
-        if len(cur) <= 1:
-            if has_zero_weight(cur):
-                return cur, 0
-        elif is_authorized(cur):
-            return cur, weight_support_rank(cur)
-        cur = _reduction_step(cur)
+    _check_chain_start(tab, n)
+    for tab in _reductions(tab):
+        pass
+    return tab, weight_support_rank(tab)
 
 
 @dataclass(frozen=True)
@@ -154,10 +143,7 @@ def charge_chain(tab: Tableau, n: int) -> ChargeChain:
     The theory guarantees termination without repetition; a repeat raises
     ChainRepetitionError since it can only come from an implementation bug.
     """
-    if not has_dominant_weight(tab):
-        raise ValueError(f"weight of {format_tableau(tab)} is not dominant")
-    if weight_support_rank(tab) > n:
-        raise ValueError(f"weight of {format_tableau(tab)} exceeds rank {n}")
+    _check_chain_start(tab, n)
     seen = {tab}
     steps: list[tuple[Tableau, str]] = []
     p = 0
@@ -172,15 +158,10 @@ def charge_chain(tab: Tableau, n: int) -> ChargeChain:
         steps.append((t, kind))
 
     while True:
-        while True:
-            if len(cur) <= 1:
-                if has_zero_weight(cur):
-                    terminal = cur[0] if cur else ()
-                    return ChargeChain(tab, tuple(steps), terminal, p)
-            elif is_authorized(cur):
-                break
-            cur = _reduction_step(cur)
+        for cur in _reductions(cur):
             record(cur, "reduction")
+        if len(cur) <= 1:
+            return ChargeChain(tab, tuple(steps), cur[0] if cur else (), p)
         cur = cocycle(cur)
         p += 1
         record(cur, "cocyclage")
@@ -192,10 +173,7 @@ def charge_column(col: Column, n: int) -> int:
     Defined for weight-0 columns only; summands may be negative when the
     column uses letters above n.
     """
-    counts: dict[int, int] = {}
-    for x in col:
-        counts[abs(x)] = counts.get(abs(x), 0) + (1 if x < 0 else -1)
-    if any(counts.values()):
+    if weight_counts(col):
         raise ValueError(f"column {col} does not have weight zero")
     present = set(col)
     return 2 * sum(n - i for i in present if i > 0 and i + 1 not in present)

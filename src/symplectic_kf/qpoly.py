@@ -37,6 +37,10 @@ class QPolynomial:
     def coefficients(self) -> dict:
         return dict(self._coeffs)
 
+    def to_record(self) -> dict[str, int]:
+        """JSON-ready form: {"exponent": coefficient}, ascending exponents."""
+        return {str(e): c for e, c in sorted(self._coeffs.items())}
+
     def coefficient(self, e: int) -> int:
         return self._coeffs.get(e, 0)
 

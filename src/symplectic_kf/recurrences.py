@@ -5,16 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Weight, is_dominant
-from .cyclage import charge, charge_column
+from .cyclage import charge
 from .kostant import kostka_def
 from .qpoly import QPolynomial
-from .tableaux import (
-    Tableau,
-    admissible_columns,
-    enumerate_tableaux,
-    format_tableau,
-    tableau_weight,
-)
+from .tableaux import Tableau, enumerate_tableaux, format_tableau
 
 
 def _compositions(total: int, parts: int):
@@ -165,8 +159,11 @@ def kostka_column_rec(p: int, n: int) -> QPolynomial:
     return (q - QPolynomial.one()) * k_gamma + q * k_full + q * k_less
 
 
-def charge_kostka(lam: Weight, mu: Weight, n: int) -> QPolynomial:
-    """Sum of q^charge over the symplectic tableaux of shape lam and weight mu."""
+def _tableau_charges(
+    lam: Weight, mu: Weight, n: int
+) -> tuple[tuple[tuple[Tableau, int], ...], QPolynomial]:
+    """The tableaux of shape lam and weight mu with their charges, and sum q^charge."""
+    listing = []
     out: dict[int, int] = {}
     for tab in enumerate_tableaux(lam, mu, n):
         c = charge(tab, n)
@@ -174,8 +171,14 @@ def charge_kostka(lam: Weight, mu: Weight, n: int) -> QPolynomial:
             raise ValueError(
                 f"negative charge {c} for {format_tableau(tab)} at rank {n}"
             )
+        listing.append((tab, c))
         out[c] = out.get(c, 0) + 1
-    return QPolynomial(out)
+    return tuple(listing), QPolynomial(out)
+
+
+def charge_kostka(lam: Weight, mu: Weight, n: int) -> QPolynomial:
+    """Sum of q^charge over the symplectic tableaux of shape lam and weight mu."""
+    return _tableau_charges(lam, mu, n)[1]
 
 
 @dataclass(frozen=True)
@@ -211,8 +214,8 @@ class VerificationReport:
             "lambda": list(self.lam),
             "mu": list(self.mu),
             "n": self.n,
-            "definitional": {str(e): c for e, c in sorted(self.k_definitional.coefficients().items())},
-            "charge": {str(e): c for e, c in sorted(self.k_charge.coefficients().items())},
+            "definitional": self.k_definitional.to_record(),
+            "charge": self.k_charge.to_record(),
             "tableaux": [
                 {"tableau": format_tableau(t), "charge": c}
                 for t, c in self.tableau_charges
@@ -224,31 +227,17 @@ class VerificationReport:
 def verify_conjecture(lam: Weight, mu: Weight, n: int) -> VerificationReport:
     """Compare kostka_def with the charge route; a mismatch is a finding, not an error."""
     k_def = kostka_def(lam, mu)
-    listing = []
-    out: dict[int, int] = {}
-    for tab in enumerate_tableaux(lam, mu, n):
-        c = charge(tab, n)
-        listing.append((tab, c))
-        out[c] = out.get(c, 0) + 1
-    return VerificationReport(
-        tuple(lam), tuple(mu), n, k_def, QPolynomial(out), tuple(listing)
-    )
+    listing, k_charge = _tableau_charges(lam, mu, n)
+    return VerificationReport(tuple(lam), tuple(mu), n, k_def, k_charge, listing)
 
 
 def verify_fundamental_conjecture(p: int, n: int) -> VerificationReport:
-    """Check the fundamental-weight case over zero-weight columns of height n-p."""
+    """verify_conjecture for the column of height n-p at weight zero.
+
+    Its tableaux are the zero-weight n-admissible columns of that height.
+    """
+    if not 0 <= p <= n:
+        raise ValueError(f"need 0 <= p <= n, got p={p}, n={n}")
     if (n - p) % 2:
         raise ValueError(f"zero weight needs an even column height, got n-p = {n - p}")
-    lam = (1,) * (n - p) + (0,) * p
-    mu = (0,) * n
-    k_def = kostka_def(lam, mu)
-    listing = []
-    out: dict[int, int] = {}
-    zero = (0,) * n
-    for col in admissible_columns(n - p, n):
-        if tableau_weight((col,), n) != zero:
-            continue
-        c = charge_column(col, n)
-        listing.append(((col,), c))
-        out[c] = out.get(c, 0) + 1
-    return VerificationReport(lam, mu, n, k_def, QPolynomial(out), tuple(listing))
+    return verify_conjecture((1,) * (n - p) + (0,) * p, (0,) * n, n)

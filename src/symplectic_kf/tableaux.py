@@ -56,15 +56,6 @@ def reading(tab: Tableau) -> Word:
     return tuple(out)
 
 
-def shape(tab: Tableau) -> tuple[int, ...]:
-    """Row lengths of the underlying Young diagram, longest first."""
-    if not tab:
-        return ()
-    return tuple(
-        sum(1 for c in tab if len(c) >= j) for j in range(1, len(tab[0]) + 1)
-    )
-
-
 def conjugate_heights(lam) -> list[int]:
     """Column heights of the diagram of a partition, left to right."""
     parts = [x for x in lam if x > 0]

@@ -148,6 +148,10 @@ def test_verify_mismatch_exit_code(monkeypatch):
         ("charge", "-n", "1", "--tableau", "1;-1"),  # not 1-symplectic
         ("cyclage-graph", "--tableau", "2;1"),  # symplectic at no rank
         ("insert", "--tableau", "2;1", "--letter", "1"),
+        ("insert", "--tableau", "1", "--letter", "0"),  # printed 0;1
+        ("verify", "-n", "0", "--max-weight", "2"),  # checked 1 pair
+        ("verify", "-n", "3", "--max-weight", "-1"),  # checked 0 pairs
+        ("verify", "-n", "-1", "--max-weight", "2"),  # leaked a repeat() error
     ],
 )
 def test_domain_errors_exit_one(argv, capsys):

@@ -1,8 +1,11 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symplectic_kf.crystal import is_highest, word_weight
+from symplectic_kf.cyclage import charge_chain, reduce
 from symplectic_kf.kostant import kostka_def
 from symplectic_kf.qpoly import QPolynomial
 from symplectic_kf.recurrences import (
@@ -14,7 +17,7 @@ from symplectic_kf.recurrences import (
     verify_conjecture,
     verify_fundamental_conjecture,
 )
-from symplectic_kf.tableaux import conjugate_heights, reading
+from symplectic_kf.tableaux import conjugate_heights, enumerate_tableaux, reading
 
 
 def dominant_vectors(n, size):
@@ -160,6 +163,38 @@ def test_charge_kostka_fixtures():
     assert charge_kostka((1, 1), (1, 1), 2) == QPolynomial.one()
 
 
+@st.composite
+def small_dominant_pairs(draw):
+    """(lam, mu, n) with n <= 4, parts <= 3, |lam| <= 6 and |lam| - |mu| even."""
+    n = draw(st.integers(1, 4))
+    weight = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(
+        lambda v: tuple(sorted(v, reverse=True))
+    )
+    lam = draw(weight.filter(lambda v: sum(v) <= 6))
+    mu = draw(weight.filter(lambda v: sum(v) <= sum(lam) and (sum(lam) - sum(v)) % 2 == 0))
+    return lam, mu, n
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(small_dominant_pairs())
+def test_charge_kostka_equals_definitional_drawn(pair):
+    lam, mu, n = pair
+    assert charge_kostka(lam, mu, n) == kostka_def(lam, mu)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(small_dominant_pairs())
+def test_reduce_is_the_chain_before_its_first_cocyclage(pair):
+    lam, mu, n = pair
+    for tab in enumerate_tableaux(lam, mu, n):
+        before = tab
+        for t, kind in charge_chain(tab, n).steps:
+            if kind == "cocyclage":
+                break
+            before = t
+        assert reduce(tab, n)[0] == before
+
+
 def test_verify_conjecture_reports():
     report = verify_conjecture((2, 2, 0), (0, 0, 0), 3)
     assert report.verdict == "match"
@@ -208,3 +243,15 @@ def test_fundamental_conjecture_height_four():
 def test_fundamental_conjecture_parity_guard():
     with pytest.raises(ValueError):
         verify_fundamental_conjecture(0, 3)
+
+
+@pytest.mark.parametrize("p, n", [(5, 3), (-1, 3), (7, 5)])
+def test_fundamental_conjecture_rejects_p_out_of_range(p, n):
+    with pytest.raises(ValueError, match=f"p={p}, n={n}"):
+        verify_fundamental_conjecture(p, n)
+
+
+def test_fundamental_conjecture_empty_column():
+    report = verify_fundamental_conjecture(3, 3)
+    assert report.tableau_charges == (((), 0),)
+    assert report.verdict == "match"
