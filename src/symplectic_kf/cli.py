@@ -228,9 +228,7 @@ def run(argv) -> tuple[int, str]:
                 raise ValueError(f"{args.tableau!r} is not a {args.n}-symplectic tableau")
             out.append(str(charge(tab, args.n)))
         elif args.command == "cyclage-graph":
-            tab = parse_tableau(args.tableau)
-            minimal_rank(tab)  # raises ValueError unless symplectic at some rank
-            graph = component(tab)
+            graph = component(parse_tableau(args.tableau))
             text = emit_dot(graph) if args.format == "dot" else emit_json(graph)
             out.append(text.rstrip("\n"))
         elif args.command == "insert":

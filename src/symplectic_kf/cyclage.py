@@ -10,9 +10,10 @@ from .crystal import Word, weight_counts
 from .tableaux import (
     Column,
     Tableau,
+    fits_right_of,
     format_tableau,
     insert_into_tableau,
-    insertion_tableau,
+    minimal_rank,
     outside_corners,
     reading,
     reverse_insert,
@@ -62,6 +63,11 @@ def cocycle(tab: Tableau) -> Tableau:
     """U(T): pop the top box of the last column and insert its letter."""
     if not is_authorized(tab):
         raise ValueError(f"cocyclage not authorized for {format_tableau(tab)}")
+    return _pop_insert(tab)
+
+
+def _pop_insert(tab: Tableau) -> Tableau:
+    """U(T) for a tableau whose cocyclage the caller has just found authorized."""
     last = tab[-1]
     x = last[0]
     rest = last[1:]
@@ -162,7 +168,7 @@ def charge_chain(tab: Tableau, n: int) -> ChargeChain:
             record(cur, "reduction")
         if len(cur) <= 1:
             return ChargeChain(tab, tuple(steps), cur[0] if cur else (), p)
-        cur = cocycle(cur)
+        cur = _pop_insert(cur)  # _reductions stopped at an authorized tableau
         p += 1
         record(cur, "cocyclage")
 
@@ -190,9 +196,12 @@ def charge(tab: Tableau, n: int) -> int:
 def predecessors(tab: Tableau) -> list[Tableau]:
     """All symplectic S with an authorized cocyclage and U(S) = tab.
 
-    Reverse-insert at each outside corner; keep the pairs (x, T*) whose word
-    x . w(T*) is itself the reading of a symplectic tableau (checked by
-    re-inserting) that admits an authorized cocyclage.
+    ``tab`` must be a symplectic tableau.  Reverse-insert at each outside
+    corner to get (x, T*).  U(S) = tab makes S equal to T* with x back on top
+    of its last column, so S has one of two shapes: T* plus the one-box column
+    (x,) when x >= the top of T*'s last column, or T* with x on top of that
+    column when x is smaller.  T* is a tableau, so only the changed column is
+    tested, against its left neighbour with the rank-free splits.
     """
     out = []
     for corner in outside_corners(tab):
@@ -200,9 +209,15 @@ def predecessors(tab: Tableau) -> list[Tableau]:
             x, t_star = reverse_insert(tab, corner)
         except ValueError:
             continue
-        candidate = (x,) + reading(t_star)
-        s = insertion_tableau(candidate)
-        if reading(s) != candidate or len(s) <= 1:
+        if not t_star:
+            continue  # S would be the single box (x,), which has no cocyclage
+        last = t_star[-1]
+        if x >= last[0]:
+            # rC(last) starts with last[0], so (x,) always fits right of it
+            s = t_star + ((x,),)
+        elif len(t_star) > 1 and fits_right_of(t_star[-2], (x,) + last):
+            s = t_star[:-1] + ((x,) + last,)
+        else:
             continue
         if is_authorized(s):
             out.append(s)
@@ -225,22 +240,31 @@ class CyclageGraph:
 
 
 def component(tab: Tableau) -> CyclageGraph:
-    """Close {tab} under authorized cocyclages and their inverses."""
+    """Close {tab} under authorized cocyclages and their inverses.
+
+    Raises ValueError unless ``tab`` is symplectic at some rank.  Each edge is
+    computed once: a vertex first met as a predecessor of t has the out-edge
+    (s, t) already, so U is applied only to ``tab`` and to cocyclage images.
+    """
+    minimal_rank(tab)
     verts = {tab}
-    edges: set[tuple[Tableau, Tableau]] = set()
-    queue = [tab]
+    edges: list[tuple[Tableau, Tableau]] = []
+    queue = [(tab, True)]
     while queue:
-        t = queue.pop()
-        if len(t) > 1 and is_authorized(t):
-            u = cocycle(t)
-            edges.add((t, u))
+        t, needs_out_edge = queue.pop()
+        if needs_out_edge and len(t) > 1 and is_authorized(t):
+            u = _pop_insert(t)
+            edges.append((t, u))
             if u not in verts:
                 verts.add(u)
-                queue.append(u)
+                queue.append((u, True))
         for s in predecessors(t):
-            edges.add((s, t))
             if s not in verts:
                 verts.add(s)
-                queue.append(s)
-    ordered = tuple(sorted(verts, key=reading))
-    return CyclageGraph(ordered, tuple(sorted(edges, key=lambda e: (reading(e[0]), reading(e[1])))))
+                queue.append((s, False))
+                edges.append((s, t))
+    readings = {v: reading(v) for v in verts}
+    ordered = tuple(sorted(verts, key=readings.__getitem__))
+    return CyclageGraph(
+        ordered, tuple(sorted(edges, key=lambda e: (readings[e[0]], readings[e[1]])))
+    )

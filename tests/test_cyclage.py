@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+import symplectic_kf
 from symplectic_kf.crystal import weyl_reflect
 from symplectic_kf.cyclage import (
+    CyclageGraph,
     charge,
     charge_chain,
     charge_column,
@@ -19,10 +21,14 @@ from symplectic_kf.cyclage import (
 )
 from symplectic_kf.tableaux import (
     admissible_columns,
+    enumerate_tableaux,
     format_tableau,
+    free_split,
     insertion_tableau,
+    outside_corners,
     parse_tableau,
     reading,
+    reverse_insert,
     tableau_weight,
 )
 
@@ -244,6 +250,92 @@ def test_component_fixtures(root):
         out_degrees[a] = out_degrees.get(a, 0) + 1
     assert all(d == 1 for d in out_degrees.values())
     g.sink  # exactly one vertex without outgoing edge
+
+
+def test_component_rejects_non_tableau():
+    # symplectic at no rank: the 1 left of the 2 breaks rC <= lC
+    with pytest.raises(ValueError, match="not a symplectic tableau"):
+        component(T("2;1"))
+
+
+def reference_predecessors(tab):
+    """Predecessors found by re-insertion: keep the candidate x . w(T*) of each
+    outside corner when its insertion tableau reads it back and is authorized."""
+    out = []
+    for corner in outside_corners(tab):
+        try:
+            x, t_star = reverse_insert(tab, corner)
+        except ValueError:
+            continue
+        candidate = (x,) + reading(t_star)
+        s = insertion_tableau(candidate)
+        if reading(s) != candidate or len(s) <= 1:
+            continue
+        if is_authorized(s):
+            out.append(s)
+    return out
+
+
+def reference_component(tab):
+    """Closure that applies cocycle to every vertex and gathers each edge from
+    both of its ends into a set."""
+    verts = {tab}
+    edges = set()
+    queue = [tab]
+    while queue:
+        t = queue.pop()
+        nbrs = reference_predecessors(t)
+        edges.update((s, t) for s in nbrs)
+        if len(t) > 1 and is_authorized(t):
+            u = cocycle(t)
+            edges.add((t, u))
+            nbrs.append(u)
+        for s in nbrs:
+            if s not in verts:
+                verts.add(s)
+                queue.append(s)
+    return CyclageGraph(
+        tuple(sorted(verts, key=reading)),
+        tuple(sorted(edges, key=lambda e: (reading(e[0]), reading(e[1])))),
+    )
+
+
+# the fixture components and rank-4 ones: that of -4;-3;-2;-1;1 (which
+# test_acceptance embeds the 7-vertex fixture into) and those of the tableaux
+# of four rank-4 (shape, weight) pairs; weight zero on (2,2,2,2) reaches the
+# largest cyclage-n4 component, 764 vertices
+DIFFERENTIAL_ROOTS = [T(root) for root in sorted(GRAPH_FIXTURES)]
+DIFFERENTIAL_ROOTS.append(T("-4;-3;-2;-1;1"))
+for _lam, _mu in [
+    ((2, 1, 1, 1), (1, 1, 1, 0)),
+    ((2, 2, 1, 1), (1, 1, 0, 0)),
+    ((3, 2, 1, 0), (2, 1, 1, 0)),
+    ((2, 2, 2, 2), (0, 0, 0, 0)),
+]:
+    DIFFERENTIAL_ROOTS += enumerate_tableaux(_lam, _mu, 4)
+
+
+def test_component_and_predecessors_match_reinsertion():
+    seen = set()
+    for root in DIFFERENTIAL_ROOTS:
+        if root in seen:
+            continue
+        g = component(root)
+        assert g == reference_component(root), format_tableau(root)
+        for v in g.vertices:
+            preds = predecessors(v)
+            assert preds == reference_predecessors(v), format_tableau(v)
+            assert all(cocycle(s) == v for s in preds)
+        seen.update(g.vertices)
+    assert len(seen) > 1000
+
+
+def test_clear_caches_empties_split_memo():
+    component(T("-4;-3;-2;-1;1"))
+    assert free_split.cache_info().currsize > 0
+    symplectic_kf.clear_caches()
+    assert free_split.cache_info().currsize == 0
+    assert component(T("-4;-3;-2;-1;1")) == reference_component(T("-4;-3;-2;-1;1"))
 
 
 def test_component_invariant_under_any_member():

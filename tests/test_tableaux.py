@@ -124,6 +124,9 @@ def test_reverse_insert_fixtures():
 def test_reverse_insert_rejects_non_corner():
     with pytest.raises(ValueError):
         reverse_insert(T("-2,-1;1,2"), 0)
+    for corner in (-1, 2):  # outside the columns
+        with pytest.raises(ValueError):
+            reverse_insert(T("-2,-1;1,2"), corner)
 
 
 def test_insert_reverse_round_trip():
