@@ -138,11 +138,8 @@ def _verify_pair(args):
 
 
 def _run_sweep(n: int, max_weight: int, out: list[str]) -> int:
-    pairs = [
-        (lam, mu, n)
-        for lam in _dominant_vectors(n, max_weight)
-        for mu in _dominant_vectors(n, max_weight)
-    ]
+    weights = list(_dominant_vectors(n, max_weight))
+    pairs = [(lam, mu, n) for lam in weights for mu in weights]
     jobs = parse_jobs(os.environ.get(JOBS_ENV_VAR))
     if jobs > 1:
         import multiprocessing

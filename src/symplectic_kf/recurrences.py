@@ -12,6 +12,10 @@ from .tableaux import Tableau, enumerate_tableaux, format_tableau
 
 
 def _compositions(total: int, parts: int):
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
     if parts == 1:
         yield (total,)
         return
@@ -30,6 +34,11 @@ def clear_caches() -> None:
     _PIERI_MEMO.clear()
 
 
+def _check_rank(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"rank must be at least 1, got {n}")
+
+
 def pieri(gamma: Weight, r: int, n: int) -> dict[Weight, int]:
     """Multiplicities n_lambda in the product of B(gamma) with the rank-n row crystal.
 
@@ -38,6 +47,7 @@ def pieri(gamma: Weight, r: int, n: int) -> dict[Weight, int]:
     weight lambda with lambda_ibar = gamma_ibar - k_i + k_ibar.  Memoised per
     (gamma, r, n); every call returns a fresh dict.
     """
+    _check_rank(n)
     gamma = tuple(gamma)
     if len(gamma) != n or not is_dominant(gamma):
         raise ValueError(f"{gamma} is not a dominant rank-{n} weight")
@@ -85,13 +95,14 @@ def kostka_morris(nu: Weight, mu: Weight, n: int) -> QPolynomial:
     Lower-rank terms recurse while the hypothesis holds and otherwise fall
     back to the definitional sum, so the result is always exact.
     """
+    _check_rank(n)
     if len(nu) != n or len(mu) != n:
         raise ValueError("rank mismatch")
     if not (is_dominant(nu) and is_dominant(mu)):
         raise ValueError("arguments must be dominant")
     if n == 1:
         return _kostka_rank1(nu, mu)
-    if n < 2 or mu[0] < nu[1]:
+    if mu[0] < nu[1]:
         raise ValueError(f"hypothesis mu_nbar >= nu_(n-1)bar fails: {mu[0]} < {nu[1]}")
     l = nu[0] - mu[0]
     if l < 0:
@@ -120,6 +131,7 @@ def kostka_row(p: int, mu: Weight, n: int) -> QPolynomial:
     and total p; f(mu) = sum (n-i) mu_ibar and
     theta(L) = sum (2(n-i)+1)(k_ibar - mu_ibar).
     """
+    _check_rank(n)
     if len(mu) != n or not is_dominant(mu):
         raise ValueError(f"{mu} is not a dominant rank-{n} weight")
     size = sum(mu)

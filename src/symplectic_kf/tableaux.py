@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from operator import sub
+from operator import ge, sub
 from typing import NamedTuple
 
 from .algebra import Weight, is_dominant
@@ -71,32 +71,33 @@ def tableau_weight(tab: Tableau, n: int) -> Weight:
 
 # ---------------------------------------------------------------- columns
 
-def admissible_split(col: Column, n: int) -> tuple[Column, Column] | None:
-    """Split an n-admissible column into (lC, rC); None when not admissible.
+def _split(col: Column) -> tuple[Column, Column]:
+    """(lC, rC) of a column by the greedy substitution, with no rank bound.
 
     For each unbarred z with both z and zbar in the column (ascending), the
-    greedy substitute t is the lowest letter above both z and the previous
+    substitute t is the lowest letter above both z and the previous
     substitute such that neither t nor tbar occurs in the column.  rC moves
     the unbarred member of each pair up to t, lC moves the barred member down
-    to tbar.  Admissibility fails when a substitute would exceed n.
+    to tbar.  The column is n-admissible exactly when no letter of rC exceeds
+    n in absolute value.
     """
     letters = set(col)
-    pairs = sorted(z for z in letters if z > 0 and -z in letters)
     subs = {}
-    prev = 0
-    for z in pairs:
-        t = max(prev, z) + 1
-        while t <= n and (t in letters or -t in letters or t in subs.values()):
+    t = 0
+    for z in sorted(z for z in letters if z > 0 and -z in letters):
+        t = max(t, z) + 1
+        while t in letters or -t in letters:
             t += 1
-        if t > n:
-            return None
         subs[z] = t
-        prev = t
-    if any(abs(x) > n for x in col):
-        return None
     r_col = tuple(sorted(subs.get(x, x) for x in col))
     l_col = tuple(sorted(-subs[-x] if (x < 0 and -x in subs) else x for x in col))
     return l_col, r_col
+
+
+def admissible_split(col: Column, n: int) -> tuple[Column, Column] | None:
+    """Split an n-admissible column into (lC, rC); None when not admissible."""
+    split = _split(col)
+    return split if max(map(abs, split[1]), default=0) <= n else None
 
 
 def column_leq(c1: Column, c2: Column) -> bool:
@@ -108,30 +109,28 @@ def column_leq(c1: Column, c2: Column) -> bool:
 
 def is_symplectic(tab: Tableau, n: int) -> bool:
     """All columns n-admissible and rC_i <= lC_{i+1} for consecutive columns."""
-    if any(len(tab[i]) < len(tab[i + 1]) for i in range(len(tab) - 1)):
+    try:
+        return minimal_rank(tab) <= n
+    except ValueError:
         return False
-    splits = []
-    for col in tab:
-        if any(col[j] >= col[j + 1] for j in range(len(col) - 1)):
-            return False
-        s = admissible_split(col, n)
-        if s is None:
-            return False
-        splits.append(s)
-    for i in range(len(tab) - 1):
-        if not column_leq(splits[i][1], splits[i + 1][0]):
-            return False
-    return True
 
 
 def minimal_rank(tab: Tableau) -> int:
-    """Smallest n for which the tableau is n-symplectic."""
-    n = max((abs(x) for col in tab for x in col), default=1)
-    while not is_symplectic(tab, n):
-        n += 1
-        if n > 4 * sum(len(c) for c in tab) + 4:
+    """Smallest n for which the tableau is n-symplectic: the largest column rank.
+
+    Raises ValueError when the tableau is symplectic at no rank: a column is
+    empty, holds 0 or does not strictly increase, or a column does not fit
+    right of its left neighbour.
+    """
+    for i, col in enumerate(tab):
+        if (
+            not col
+            or 0 in col
+            or any(map(ge, col, col[1:]))
+            or (i and not fits_right_of(tab[i - 1], col))
+        ):
             raise ValueError(f"not a symplectic tableau: {format_tableau(tab)}")
-    return n
+    return max((max(map(abs, free_split(col)[1])) for col in tab), default=1)
 
 
 class _ColumnTable(NamedTuple):
@@ -197,16 +196,11 @@ def _column_graph(n: int) -> _ColumnGraph:
     return graph
 
 
-# On the rank-4 cyclage components 1024 entries (about 0.25 MB) answer 84% of
-# the lookups; keeping every split would hold about 2 MB for 93%.
-@functools.lru_cache(maxsize=1024)
-def free_split(col: Column) -> tuple[Column, Column]:
-    """(lC, rC) of a column at a rank where no substitute is cut off.
-
-    Above rank max|letter| + height the split no longer depends on the rank.
-    The most recent splits are kept until ``clear_caches``.
-    """
-    return admissible_split(col, max(map(abs, col)) + len(col))
+# The split of the most recent columns, valid at every rank where they are
+# admissible, kept until ``clear_caches``.  On the rank-4 cyclage components
+# 1024 entries (about 0.25 MB) answer 84% of the lookups; keeping every split
+# would hold about 2 MB for 93%.
+free_split = functools.lru_cache(maxsize=1024)(_split)
 
 
 def fits_right_of(left: Column, col: Column) -> bool:
@@ -250,16 +244,17 @@ def _bump_two(x: int, a: int, b: int) -> tuple[tuple[int, int], int]:
 
 
 def _bump_column(x: int, col: Column) -> tuple[Column, int]:
-    """Insert x into a column with x <= max; returns (C', bumped letter)."""
-    k = len(col)
-    if k == 1:
-        return (x,), col[0]
-    if k == 2:
-        top, y = _bump_two(x, col[0], col[1])
-        return top, y
-    (delta, d_last), y = _bump_two(x, col[-2], col[-1])
-    newcol, z = _bump_column(delta, col[:-2] + (y,))
-    return newcol + (d_last,), z
+    """Insert x into a column with x <= max; returns (C', bumped letter).
+
+    x climbs from the bottom pair to the top: at each step it meets the next
+    letter up and the letter bumped so far, and _bump_two settles one box.
+    """
+    y = col[-1]
+    below = ()
+    for a in col[-2::-1]:
+        (x, d), y = _bump_two(x, a, y)
+        below = (d,) + below
+    return (x,) + below, y
 
 
 def insert_into_column(x: int, col: Column):
@@ -275,13 +270,14 @@ def insert_into_column(x: int, col: Column):
 
 def insert_into_tableau(x: int, tab: Tableau) -> Tableau:
     """Contraction-free insertion: bump through columns left to right."""
-    if not tab:
-        return ((x,),)
-    first = tab[0]
-    if x > first[-1]:
-        return (first + (x,),) + tab[1:]
-    newcol, y = _bump_column(x, first)
-    return (newcol,) + insert_into_tableau(y, tab[1:])
+    cols = list(tab)
+    for i, col in enumerate(tab):
+        if x > col[-1]:
+            cols[i] = col + (x,)
+            return tuple(cols)
+        cols[i], x = _bump_column(x, col)
+    cols.append((x,))
+    return tuple(cols)
 
 
 def insertion_tableau(w: Word) -> Tableau:
@@ -308,16 +304,14 @@ def _reverse_two(c: int, d: int, y: int) -> tuple[int, tuple[int, int]]:
 
 
 def _reverse_bump_column(col: Column, z: int) -> tuple[int, Column]:
-    """Invert _bump_column on (col, z)."""
-    k = len(col)
-    if k == 1:
-        return col[0], (z,)
-    if k == 2:
-        x, pair = _reverse_two(col[0], col[1], z)
-        return x, pair
-    delta, sub = _reverse_bump_column(col[:-1], z)
-    x, (a1, a2) = _reverse_two(delta, col[-1], sub[-1])
-    return x, sub[:-1] + (a1, a2)
+    """Invert _bump_column on (col, z), from the top pair down."""
+    x = col[0]
+    out = []
+    for d in col[1:]:
+        x, (a, z) = _reverse_two(x, d, z)
+        out.append(a)
+    out.append(z)
+    return x, tuple(out)
 
 
 def outside_corners(tab: Tableau) -> list[int]:

@@ -256,6 +256,8 @@ def test_component_rejects_non_tableau():
     # symplectic at no rank: the 1 left of the 2 breaks rC <= lC
     with pytest.raises(ValueError, match="not a symplectic tableau"):
         component(T("2;1"))
+    with pytest.raises(ValueError, match="not a symplectic tableau"):
+        component(((0,),))  # 0 is not a letter
 
 
 def reference_predecessors(tab):

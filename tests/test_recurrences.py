@@ -82,6 +82,21 @@ def test_pieri_rejects_non_dominant():
         pieri((1, 2), 1, 2)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: pieri((), 1, n),
+        lambda n: kostka_row(0, (), n),
+        lambda n: kostka_morris((), (), n),
+    ],
+    ids=["pieri", "kostka_row", "kostka_morris"],
+)
+@pytest.mark.parametrize("n", [0, -1])
+def test_rank_below_one_is_rejected(call, n):
+    with pytest.raises(ValueError, match="rank must be at least 1"):
+        call(n)
+
+
 def test_morris_fixtures():
     assert kostka_morris((2, 0), (1, 1), 2) == QPolynomial.q_power(1)
     assert kostka_morris((3, 1), (3, 1), 2) == QPolynomial.one()

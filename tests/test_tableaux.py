@@ -1,7 +1,10 @@
+import functools
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symplectic_kf import clear_caches, recurrences, tableaux
 from symplectic_kf.crystal import crystal_lower, weyl_reflect, word_weight
@@ -16,10 +19,12 @@ from symplectic_kf.tableaux import (
     conjugate_heights,
     enumerate_tableaux,
     format_tableau,
+    free_split,
     insert_into_column,
     insert_into_tableau,
     insertion_tableau,
     is_symplectic,
+    minimal_rank,
     outside_corners,
     parse_tableau,
     plactic_equivalent,
@@ -29,6 +34,59 @@ from symplectic_kf.tableaux import (
 )
 
 T = parse_tableau
+
+
+def reference_admissible_split(col, n):
+    """The greedy split with the rank bound inside its loop: a substitute
+    above n, or a letter above n, makes the column non-admissible."""
+    letters = set(col)
+    pairs = sorted(z for z in letters if z > 0 and -z in letters)
+    subs = {}
+    prev = 0
+    for z in pairs:
+        t = max(prev, z) + 1
+        while t <= n and (t in letters or -t in letters or t in subs.values()):
+            t += 1
+        if t > n:
+            return None
+        subs[z] = t
+        prev = t
+    if any(abs(x) > n for x in col):
+        return None
+    r_col = tuple(sorted(subs.get(x, x) for x in col))
+    l_col = tuple(sorted(-subs[-x] if (x < 0 and -x in subs) else x for x in col))
+    return l_col, r_col
+
+
+# the bounded greedy is pure; the differential tests below ask it for the same
+# few hundred (column, rank) splits over and over
+_cached_reference_split = functools.lru_cache(maxsize=None)(reference_admissible_split)
+
+
+def reference_is_symplectic(tab, n):
+    """Heights, strict columns, rank-n splits and rC_i <= lC_(i+1), each
+    tested on its own."""
+    if any(len(tab[i]) < len(tab[i + 1]) for i in range(len(tab) - 1)):
+        return False
+    splits = []
+    for col in tab:
+        if any(col[j] >= col[j + 1] for j in range(len(col) - 1)):
+            return False
+        s = _cached_reference_split(col, n)
+        if s is None:
+            return False
+        splits.append(s)
+    return all(column_leq(splits[i][1], splits[i + 1][0]) for i in range(len(tab) - 1))
+
+
+def reference_minimal_rank(tab):
+    """Try ranks upward from the largest letter until the tableau is symplectic."""
+    n = max((abs(x) for col in tab for x in col), default=1)
+    while not reference_is_symplectic(tab, n):
+        n += 1
+        if n > 4 * sum(len(c) for c in tab) + 4:
+            raise ValueError(f"not a symplectic tableau: {format_tableau(tab)}")
+    return n
 
 
 def test_parse_format_round_trip():
@@ -65,6 +123,55 @@ def test_is_symplectic_fixtures():
     assert is_symplectic(T("-2,-1;1,2"), 2)
     assert not is_symplectic(T("-3,-1,1,3"), 3)
     assert is_symplectic(T("-3,-1,1,3"), 4)
+    # 0 is not a letter, and a column has at least one box
+    assert not is_symplectic(((0,),), 1)
+    assert not is_symplectic(((1,), ()), 1)
+
+
+def test_minimal_rank_fixtures():
+    assert minimal_rank(()) == 1
+    assert minimal_rank(T("-2,-1;1,2")) == 2
+    # the pairs (1,1bar), (3,3bar) take the substitutes 2 and 4
+    assert minimal_rank(T("-3,-1,1,3")) == 4
+    for tab in [((0,),), ((1,), ()), T("2;1"), ((2, 1),)]:
+        with pytest.raises(ValueError, match="not a symplectic tableau"):
+            minimal_rank(tab)
+
+
+def test_splits_match_bounded_greedy():
+    # every column over +-1..5 of height <= 5, at every rank up to 7
+    letters = [v for v in range(-5, 6) if v]
+    for h in range(6):
+        for col in itertools.combinations(letters, h):
+            for n in range(1, 8):
+                assert admissible_split(col, n) == reference_admissible_split(col, n), (col, n)
+            if col:
+                bound = max(map(abs, col)) + len(col)
+                assert free_split(col) == reference_admissible_split(col, bound), col
+
+
+def small_tableaux(letter_max, max_columns):
+    """Every tuple of at most max_columns strictly increasing nonempty columns
+    over +-1..letter_max with weakly decreasing heights."""
+    letters = [v for v in range(-letter_max, letter_max + 1) if v]
+    by_height = [list(itertools.combinations(letters, h)) for h in range(len(letters) + 1)]
+    for k in range(max_columns + 1):
+        for heights in itertools.combinations_with_replacement(range(len(letters), 0, -1), k):
+            yield from itertools.product(*(by_height[h] for h in heights))
+
+
+def test_rank_and_symplecticity_match_rank_loop():
+    # every tableau of at most 3 columns over +-1..3, at n = 1..6.  No such
+    # column needs a rank above 6, so a tableau that is not 6-symplectic is
+    # symplectic at no rank.  Otherwise both sides are monotone in n, so the
+    # minimal rank and the cut just below it decide every n.
+    for tab in small_tableaux(3, 3):
+        if not reference_is_symplectic(tab, 6):
+            assert not is_symplectic(tab, 6), tab
+            continue
+        rank = reference_minimal_rank(tab)
+        assert minimal_rank(tab) == rank, tab
+        assert is_symplectic(tab, rank) and not is_symplectic(tab, rank - 1), tab
 
 
 def test_reading_fixtures():
@@ -146,6 +253,21 @@ def test_insert_reverse_round_trip():
         assert reverse_insert(bigger, corner) == (x, tab)
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from([v for v in range(-4, 5) if v]), max_size=8),
+    st.sampled_from([v for v in range(-5, 6) if v]),
+)
+def test_reverse_insert_undoes_insertion_drawn(word, x):
+    # reverse insertion at the box insert_into_tableau(x, T) added gives (x, T)
+    tab = insertion_tableau(tuple(word))
+    bigger = insert_into_tableau(x, tab)
+    corner = next(
+        j for j in range(len(bigger)) if j >= len(tab) or len(bigger[j]) != len(tab[j])
+    )
+    assert reverse_insert(bigger, corner) == (x, tab)
+
+
 def test_contract_column_fixtures():
     assert contract_column((-3, -1, 1, 3), 3) == (-1, 1)
     assert contract_column((-1, 1), 1) == ()
@@ -195,8 +317,6 @@ def test_plactic_equivalence_implies_same_insertion_tableau():
 
 
 def test_word_is_equivalent_to_its_insertion_reading():
-    from symplectic_kf.tableaux import minimal_rank
-
     rng = random.Random(15)
     letters = [v for v in range(-2, 3) if v]
     for _ in range(60):
@@ -296,13 +416,17 @@ def reference_tableaux(lam, n):
     """Every n-symplectic tableau of shape lam, by plain backtracking.
 
     The reference for enumerate_tableaux: candidate columns come straight from
-    admissible_split, and each is tested against the split of its left
+    the bounded greedy split, and each is tested against the split of its left
     neighbour; nothing is precomputed or pruned.
     """
     heights = conjugate_heights(lam)
     letters = [v for v in range(-n, n + 1) if v]
     pools = {
-        h: [c for c in itertools.combinations(letters, h) if admissible_split(c, n) is not None]
+        h: [
+            c
+            for c in itertools.combinations(letters, h)
+            if reference_admissible_split(c, n) is not None
+        ]
         for h in set(heights)
     }
     out = []
@@ -311,10 +435,10 @@ def reference_tableaux(lam, n):
         if idx == len(heights):
             out.append(tuple(cols))
             return
-        prev_r = admissible_split(cols[-1], n)[1] if cols else None
+        prev_r = reference_admissible_split(cols[-1], n)[1] if cols else None
         for col in pools[heights[idx]]:
             if prev_r is not None and not column_leq(
-                prev_r, admissible_split(col, n)[0]
+                prev_r, reference_admissible_split(col, n)[0]
             ):
                 continue
             cols.append(col)
