@@ -70,8 +70,8 @@ def clear_caches() -> None:
     """Empty every table and memo the package keeps.
 
     That is each rank's q-Kostant memo, each rank's column tables with their
-    successor lists, the rank-free column splits and the Pieri memo.  All of
-    them refill on demand.
+    successor lists, the rank-free column splits, the Pieri memo and the
+    Morris memo.  All of them refill on demand.
     """
     kostant.clear_caches()
     tableaux.clear_caches()

@@ -28,10 +28,18 @@ def _compositions(total: int, parts: int):
 # first use; the rank-lowering recurrence asks for the same few again and again.
 _PIERI_MEMO: dict[tuple[Weight, int, int], tuple[tuple[Weight, int], ...]] = {}
 
+# (lam, mu, n) -> K_{lam,mu} as a flat tuple (e0, c0, e1, c1, ...) with
+# ascending exponents, () for zero; a tuple per pair would triple its size.  It
+# holds every pair the recurrence reaches: rank 1 by the closed form, the
+# recurrence where its hypothesis holds, and kostka_def where it fails, so
+# kostka_morris checks the hypothesis before it looks here.
+_MORRIS_MEMO: dict[tuple[Weight, Weight, int], tuple[int, ...]] = {}
+
 
 def clear_caches() -> None:
-    """Drop the Pieri memo."""
+    """Drop the Pieri memo and the Morris memo."""
     _PIERI_MEMO.clear()
+    _MORRIS_MEMO.clear()
 
 
 def _check_rank(n: int) -> None:
@@ -42,49 +50,70 @@ def _check_rank(n: int) -> None:
 def pieri(gamma: Weight, r: int, n: int) -> dict[Weight, int]:
     """Multiplicities n_lambda in the product of B(gamma) with the rank-n row crystal.
 
-    Enumerates the tuples (k_1bar..k_nbar, k_1..k_n) summing to r; each
-    solution of the three interleaving conditions contributes one copy of the
-    weight lambda with lambda_ibar = gamma_ibar - k_i + k_ibar.  Memoised per
+    Counts the tuples (k_1bar..k_nbar, k_1..k_n) summing to r that satisfy the
+    three interleaving conditions; each contributes one copy of the weight
+    lambda with lambda_ibar = gamma_ibar - k_i + k_ibar.  Memoised per
     (gamma, r, n); every call returns a fresh dict.
     """
     _check_rank(n)
     gamma = tuple(gamma)
     if len(gamma) != n or not is_dominant(gamma):
         raise ValueError(f"{gamma} is not a dominant rank-{n} weight")
+    return dict(_pieri_terms(gamma, r, n))
+
+
+def _pieri_terms(gamma: Weight, r: int, n: int) -> tuple[tuple[Weight, int], ...]:
     key = (gamma, r, n)
     terms = _PIERI_MEMO.get(key)
     if terms is None:
         terms = _PIERI_MEMO[key] = tuple(_pieri_count(gamma, r, n).items())
-    return dict(terms)
+    return terms
 
 
 def _pieri_count(gamma: Weight, r: int, n: int) -> dict[Weight, int]:
+    """Depth-first over i = 1..n, choosing (k_ibar, k_i) with lambda_i known.
+
+    With lambda_i = gamma_i - k_i + k_ibar, the conditions
+      lambda_1 >= k_1bar,
+      lambda_(i-1) <= lambda_i - k_ibar,
+      lambda_i - k_ibar >= lambda_(i-1) + k_(i-1) - k_(i-1)bar
+    bound k_i alone, by gamma_1 at i = 1 and by
+    gamma_i - lambda_(i-1) - max(0, k_(i-1) - k_(i-1)bar) after; k_nbar takes
+    what is left of r.  The second condition also makes every lambda found
+    dominant.
+    """
     out: dict[Weight, int] = {}
-    for ks in _compositions(r, 2 * n):
-        kbar, kun = ks[:n], ks[n:]  # k_ibar, k_i indexed by i-1
-        lam = [0] * n
-        for i in range(1, n + 1):
-            lam[n - i] = gamma[n - i] - kun[i - 1] + kbar[i - 1]
-        if lam[n - 1] - kbar[0] < 0:
-            continue
-        if any(lam[n - i] > lam[n - i - 1] - kbar[i] for i in range(1, n)):
-            continue
-        if any(
-            lam[n - i] - kbar[i - 1] < lam[n - i + 1] + kun[i - 2] - kbar[i - 2]
-            for i in range(2, n + 1)
-        ):
-            continue
-        key = tuple(lam)
-        if is_dominant(key):
-            out[key] = out.get(key, 0) + 1
+    lam = [0] * n  # lam[n - i] = lambda_i
+
+    def step(i: int, left: int, cap: int) -> None:
+        g = gamma[n - i]
+        cap = min(cap, left)
+        if cap < 0:
+            return
+        if i == n:
+            for k in range(cap + 1):
+                lam[0] = g - k + left - k
+                key = tuple(lam)
+                out[key] = out.get(key, 0) + 1
+            return
+        for kbar in range(left + 1):
+            for k in range(min(cap, left - kbar) + 1):
+                lam_i = lam[n - i] = g - k + kbar
+                step(i + 1, left - kbar - k, gamma[n - i - 1] - lam_i - max(0, k - kbar))
+
+    step(1, r, gamma[n - 1])
     return out
 
 
-def _kostka_rank1(lam: Weight, mu: Weight) -> QPolynomial:
+def _flat_terms(coeffs: dict[int, int]) -> tuple[int, ...]:
+    return tuple(x for e in sorted(coeffs) if coeffs[e] for x in (e, coeffs[e]))
+
+
+def _kostka_rank1(lam: Weight, mu: Weight) -> tuple[int, ...]:
     l, m = lam[0], mu[0]
     if l >= m >= 0 and (l - m) % 2 == 0:
-        return QPolynomial.q_power((l - m) // 2)
-    return QPolynomial.zero()
+        return ((l - m) // 2, 1)
+    return ()
 
 
 def kostka_morris(nu: Weight, mu: Weight, n: int) -> QPolynomial:
@@ -93,35 +122,49 @@ def kostka_morris(nu: Weight, mu: Weight, n: int) -> QPolynomial:
     Valid under mu_nbar >= nu_(n-1)bar; the sum runs over r + 2m = l with
     l = nu_nbar - mu_nbar, weighting rank-(n-1) Kostka polynomials by q^(r+m).
     Lower-rank terms recurse while the hypothesis holds and otherwise fall
-    back to the definitional sum, so the result is always exact.
+    back to the definitional sum, so the result is always exact.  Every term,
+    this one included, is memoised per (lam, mu, n) until ``clear_caches``.
     """
     _check_rank(n)
+    nu, mu = tuple(nu), tuple(mu)
     if len(nu) != n or len(mu) != n:
         raise ValueError("rank mismatch")
     if not (is_dominant(nu) and is_dominant(mu)):
         raise ValueError("arguments must be dominant")
-    if n == 1:
-        return _kostka_rank1(nu, mu)
-    if mu[0] < nu[1]:
+    if n > 1 and mu[0] < nu[1]:
         raise ValueError(f"hypothesis mu_nbar >= nu_(n-1)bar fails: {mu[0]} < {nu[1]}")
+    terms = _kostka_terms(nu, mu, n)
+    return QPolynomial(dict(zip(terms[::2], terms[1::2])))
+
+
+def _kostka_terms(lam: Weight, mu: Weight, n: int) -> tuple[int, ...]:
+    """K_{lam,mu} for dominant lam, mu of rank n, by the cheapest exact route."""
+    key = (lam, mu, n)
+    terms = _MORRIS_MEMO.get(key)
+    if terms is None:
+        if n == 1:
+            terms = _kostka_rank1(lam, mu)
+        elif mu[0] >= lam[1]:
+            terms = _morris_terms(lam, mu, n)
+        else:
+            terms = _flat_terms(kostka_def(lam, mu).coefficients())
+        _MORRIS_MEMO[key] = terms
+    return terms
+
+
+def _morris_terms(nu: Weight, mu: Weight, n: int) -> tuple[int, ...]:
     l = nu[0] - mu[0]
     if l < 0:
-        return QPolynomial.zero()
+        return ()
     nu_p, mu_p = nu[1:], mu[1:]
-    total = QPolynomial.zero()
+    total: dict[int, int] = {}
     for r in range(l % 2, l + 1, 2):
-        m = (l - r) // 2
-        inner = QPolynomial.zero()
-        for lam, mult in pieri(nu_p, r, n - 1).items():
-            if n - 1 == 1:
-                k = _kostka_rank1(lam, mu_p)
-            elif mu_p[0] >= lam[1]:
-                k = kostka_morris(lam, mu_p, n - 1)
-            else:
-                k = kostka_def(lam, mu_p)
-            inner = inner + mult * k
-        total = total + inner.shift(r + m)
-    return total
+        shift = r + (l - r) // 2
+        for lam, mult in _pieri_terms(nu_p, r, n - 1):
+            terms = iter(_kostka_terms(lam, mu_p, n - 1))
+            for e, c in zip(terms, terms):
+                total[e + shift] = total.get(e + shift, 0) + mult * c
+    return _flat_terms(total)
 
 
 def kostka_row(p: int, mu: Weight, n: int) -> QPolynomial:

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symplectic_kf import recurrences
+from symplectic_kf.algebra import is_dominant
 from symplectic_kf.crystal import is_highest, word_weight
 from symplectic_kf.cyclage import charge_chain, reduce
 from symplectic_kf.kostant import kostka_def
@@ -70,6 +72,39 @@ def test_pieri_matches_crystal_brute_force():
                 )
 
 
+def reference_pieri_count(gamma, r, n):
+    """The Pieri count as a filter over every composition of r into 2n parts."""
+    out = {}
+    for ks in recurrences._compositions(r, 2 * n):
+        kbar, kun = ks[:n], ks[n:]  # k_ibar, k_i indexed by i-1
+        lam = [0] * n
+        for i in range(1, n + 1):
+            lam[n - i] = gamma[n - i] - kun[i - 1] + kbar[i - 1]
+        if lam[n - 1] - kbar[0] < 0:
+            continue
+        if any(lam[n - i] > lam[n - i - 1] - kbar[i] for i in range(1, n)):
+            continue
+        if any(
+            lam[n - i] - kbar[i - 1] < lam[n - i + 1] + kun[i - 2] - kbar[i - 2]
+            for i in range(2, n + 1)
+        ):
+            continue
+        key = tuple(lam)
+        if is_dominant(key):
+            out[key] = out.get(key, 0) + 1
+    return out
+
+
+def test_pieri_count_matches_composition_filter():
+    # every dominant gamma with entries <= 5 at n = 1..3, and r <= 8
+    for n in (1, 2, 3):
+        for gamma in itertools.combinations_with_replacement(range(5, -1, -1), n):
+            for r in range(9):
+                assert recurrences._pieri_count(gamma, r, n) == reference_pieri_count(
+                    gamma, r, n
+                ), (gamma, r)
+
+
 def test_pieri_multiplicity_can_exceed_one():
     # the product is not multiplicity free in general
     assert any(
@@ -111,6 +146,42 @@ def test_morris_equals_definitional():
                 if mu[0] < nu[1] or nu[0] < mu[0]:
                     continue
                 assert kostka_morris(nu, mu, n) == kostka_def(nu, mu), (nu, mu)
+
+
+def test_morris_memo_keeps_the_hypothesis_check():
+    # the rank-3 recurrence stores K_{(2,2),(1,1)} from kostka_def, where the
+    # rank-2 hypothesis fails; asking for it at rank 2 must still be refused
+    kostka_morris((2, 2, 2), (2, 1, 1), 3)
+    assert ((2, 2), (1, 1), 2) in recurrences._MORRIS_MEMO
+    with pytest.raises(ValueError, match="hypothesis"):
+        kostka_morris((2, 2), (1, 1), 2)
+
+
+def test_morris_results_do_not_share_the_memo():
+    first = kostka_morris((4, 2, 0), (2, 0, 0), 3)
+    first.coefficients()[0] = 99
+    assert kostka_morris((4, 2, 0), (2, 0, 0), 3) == first == kostka_def((4, 2, 0), (2, 0, 0))
+    assert kostka_morris((4, 2, 0), (2, 0, 0), 3) is not first
+
+
+@st.composite
+def morris_pairs(draw):
+    """(nu, mu, n) with n = 2..4, parts <= 4, mu_nbar >= nu_(n-1)bar and
+    |nu| - |mu| even: the pairs where the recurrence itself runs."""
+    n = draw(st.integers(2, 4))
+    weight = st.lists(st.integers(0, 4), min_size=n, max_size=n).map(
+        lambda v: tuple(sorted(v, reverse=True))
+    )
+    nu = draw(weight)
+    mu = draw(weight.filter(lambda v: v[0] >= nu[1] and (sum(nu) - sum(v)) % 2 == 0))
+    return nu, mu, n
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(morris_pairs())
+def test_morris_equals_definitional_drawn(pair):
+    nu, mu, n = pair
+    assert kostka_morris(nu, mu, n) == kostka_def(nu, mu)
 
 
 def test_morris_specializes_to_row_formula():

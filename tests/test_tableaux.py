@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from symplectic_kf import clear_caches, recurrences, tableaux
 from symplectic_kf.crystal import crystal_lower, weyl_reflect, word_weight
 from symplectic_kf.kostant import cache_sizes, kostka_def
-from symplectic_kf.recurrences import pieri
+from symplectic_kf.recurrences import kostka_morris, pieri
 from symplectic_kf.tableaux import (
     SearchBudgetExceeded,
     admissible_columns,
@@ -389,11 +389,16 @@ def test_enumerate_rejects_wrong_length_weight():
 def test_clear_caches_rebuilds_column_tables():
     first = enumerate_tableaux((2, 2, 0), (0, 0, 0), 3)
     pieri((1, 0), 1, 2)
+    k_first = kostka_morris((4, 2, 0), (2, 0, 0), 3)
     assert tableaux._GRAPHS[3].tables and recurrences._PIERI_MEMO
+    assert recurrences._MORRIS_MEMO
     clear_caches()
     assert not tableaux._GRAPHS and not recurrences._PIERI_MEMO and not cache_sizes()
+    assert not recurrences._MORRIS_MEMO
     assert enumerate_tableaux((2, 2, 0), (0, 0, 0), 3) == first
     assert tableaux._GRAPHS[3].tables
+    assert kostka_morris((4, 2, 0), (2, 0, 0), 3) == k_first
+    assert ((4, 2, 0), (2, 0, 0), 3) in recurrences._MORRIS_MEMO
 
 
 def crystal_closure_readings(lam, n):
