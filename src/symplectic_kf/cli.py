@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -101,9 +100,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _dominant_vectors(n: int, max_weight: int):
-    for v in itertools.product(range(max_weight + 1), repeat=n):
-        if sum(v) <= max_weight and is_dominant(v):
-            yield v
+    """Weakly decreasing nonnegative n-vectors with sum <= max_weight, in lexicographic order."""
+
+    def rec(prefix: tuple[int, ...], largest: int, left: int):
+        if len(prefix) == n:
+            yield prefix
+            return
+        for x in range(min(largest, left) + 1):
+            yield from rec(prefix + (x,), x, left - x)
+
+    yield from rec((), max_weight, max_weight)
 
 
 def parse_jobs(text: str | None) -> int:

@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from .algebra import Weight, is_dominant, rho
 from .qpoly import QPolynomial
 
 # Entries one rank's state memo may hold before it is emptied wholesale.  At
-# rank 6 one Weyl sum such as K_{(2,2,2,2,2,0),0} fills about 67k entries of
-# about 640 bytes each, so the cap leaves room for a sweep and bounds a
-# rank's memo near 130 MB.
+# rank 6 one Weyl sum such as K_{(2,2,2,2,2,0),0} fills about 24k entries of
+# about 750 bytes each (key, value dict and memo slot, read with
+# tracemalloc), so the cap leaves room for a sweep and bounds a rank's memo
+# near 150 MB.
 _MEMO_CAP = 200_000
 
-# What every state that cannot be completed counts to.  Shared, never stored
-# in a memo, and never mutated.
+# What a beta outside the root cone counts to, the one state that cannot be
+# completed.  Shared, never stored in a memo, and never mutated.
 _NO_WAYS: dict[int, int] = {}
 
 
@@ -54,42 +57,59 @@ def in_positive_root_cone(beta: Weight) -> bool:
 
 
 class _KostantTable:
-    """The rank-n roots and one memo of partial counts shared by every beta.
+    """The rank-n pair steps and one memo of partial counts shared by every beta.
+
+    The positive roots with leading position p are e_p - e_j and e_p + e_j for
+    j > p, and 2e_p.  The DP takes the pairs (p, j) in order, and the last pair
+    of p also closes p with 2e_p.  A pair used s times in all adds s to
+    coordinate p and d in {-s, -s+2, ..., s} to coordinate j, one way each,
+    weighted q^s.  After the last pair of p, what is left of coordinate p must
+    be even, and 2e_p takes it all: one way, no loop.
 
     A state ``(idx, remaining)`` stands for the ways to write ``remaining`` as
-    a sum of the roots ``roots[idx:]``, as exponent -> count with one q per
-    root used.  Roots come in leading-position order, so once the roots with
-    first support ``p`` are used up, coordinate ``p`` of the remainder must be
-    zero; and the remainder must stay in the root cone.  States failing either
-    test count to nothing and are never stored, which keeps the memo to the
-    states that can still be completed.
+    a sum of the pair roots of ``steps[idx:]``, their 2e_p and the roots of
+    the later leading positions, as exponent -> count with one q per root
+    used.  With (p, j) the pair of ``steps[idx]`` and R_k the sum of
+    coordinates p+1..k, a state has coordinates before p zero, lies in the
+    root cone, and has R_k >= 0 for p < k < j, since the pairs that could
+    still move coordinates p+1..j-1 are spent.  The bounds on s and d keep
+    every child in that set, and every state in it can be completed (take
+    s = x, d = -x at each step), so no state that counts to zero is built.
     """
 
     def __init__(self, n: int):
-        self.roots = positive_roots(n)
-        # one entry past the last root: with every root used, all n coordinates are done
-        self.first_support = [next(i for i, x in enumerate(r) if x) for r in self.roots] + [n]
-        self.rho = rho(n)
-        self.heights = [sum(a * x for a, x in zip(self.rho, r)) for r in self.roots]
+        # (p, j, whether j is the last pair of p) for each pair step, in order
+        self.steps = [(p, j, j == n - 1) for p in range(n) for j in range(p + 1, n)]
         self.memo: dict[tuple[int, Weight], dict[int, int]] = {}
 
     def count(self, idx: int, remaining: Weight) -> dict[int, int]:
-        if any(remaining[: self.first_support[idx]]) or not in_positive_root_cone(remaining):
-            return _NO_WAYS
-        if idx == len(self.roots):
-            return {0: 1}
+        if idx == len(self.steps):
+            # only 2e_(n-1) is left: every coordinate but the last is zero,
+            # and the cone makes the last one even
+            return {sum(remaining) // 2: 1}
         key = (idx, remaining)
         memo = self.memo
         hit = memo.get(key)
         if hit is not None:
             return hit
-        h = sum(a * x for a, x in zip(self.rho, remaining))
-        a = self.roots[idx]
+        p, j, closing = self.steps[idx]
+        x = remaining[p]
+        # R_j, and the least of R_j and every R_k after it
+        r_j = sum(remaining[p + 1 : j + 1])
+        r_min = min(accumulate(remaining[j + 1 :], initial=r_j))
+        child = list(remaining)
         out: dict[int, int] = {}
-        for k in range(h // self.heights[idx] + 1):
-            sub = self.count(idx + 1, tuple(x - k * y for x, y in zip(remaining, a)))
-            for e, c in sub.items():
-                out[e + k] = out.get(e + k, 0) + c
+        # on the last pair of p, 2e_p takes the x - s left, (x - s) / 2 times,
+        # so s has the parity of x and the weight is q^(s + (x - s) / 2)
+        for s in range(x % 2, x + 1, 2) if closing else range(x + 1):
+            child[p] = 0 if closing else x - s
+            shift = (x + s) // 2 if closing else s
+            # d <= R_j keeps R_j >= 0 for when p is spent; d <= x - s + R_k
+            # keeps the child's prefix sums after j nonnegative
+            for d in range(-s, min(s, r_j, x - s + r_min) + 1, 2):
+                child[j] = remaining[j] - d
+                for e, c in self.count(idx + 1, tuple(child)).items():
+                    out[e + shift] = out.get(e + shift, 0) + c
         if len(memo) >= _MEMO_CAP:
             memo.clear()
         memo[key] = out
@@ -112,14 +132,15 @@ def cache_sizes() -> dict[int, int]:
 def q_kostant(beta: Weight) -> QPolynomial:
     """Number of ways to write beta as a sum of exactly k positive roots, as q^k.
 
-    Bounded dynamic programming over the roots in leading-position order,
-    memoized per rank in a table shared by every beta of that rank.
+    Bounded dynamic programming over the pairs of roots e_p - e_j, e_p + e_j
+    and the closing 2e_p steps in leading-position order, memoized per rank
+    in a table shared by every beta of that rank.
     """
     n = len(beta)
     table = _TABLES.get(n)
     if table is None:
         table = _TABLES[n] = _KostantTable(n)
-    return QPolynomial(table.count(0, beta))
+    return QPolynomial(table.count(0, beta) if in_positive_root_cone(beta) else _NO_WAYS)
 
 
 def _weyl_terms(lam_rho: Weight, mu_rho: Weight):

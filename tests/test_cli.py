@@ -1,8 +1,10 @@
+import itertools
 import json
 
 import pytest
 
 from symplectic_kf import cli
+from symplectic_kf.algebra import is_dominant
 from symplectic_kf.cyclage import ChainRepetitionError, component
 from symplectic_kf.kostant import PositivityError
 from symplectic_kf.qpoly import parse_poly
@@ -207,3 +209,14 @@ def test_verify_rejects_bad_jobs(monkeypatch, capsys):
     code, out = run("verify", "-n", "2", "--max-weight", "2")
     assert code == 1
     assert cli.JOBS_ENV_VAR in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_dominant_vectors_match_filtered_product(n):
+    for max_weight in range(7):
+        want = [
+            v
+            for v in itertools.product(range(max_weight + 1), repeat=n)
+            if sum(v) <= max_weight and is_dominant(v)
+        ]
+        assert list(cli._dominant_vectors(n, max_weight)) == want, max_weight

@@ -44,6 +44,72 @@ def brute_force_counts(beta, n):
     return {k: v for k, v in counts.items() if v}
 
 
+# (idx, remaining) -> exponent -> count, for reference_q_kostant; the rank is len(remaining)
+_REFERENCE_MEMO = {}
+
+
+def reference_q_kostant(beta):
+    """The per-root DP the paired one replaced: one step and one memo state per root.
+
+    Steps through the n^2 positive roots in leading-position order, taking
+    root idx k times for every k its height allows; once the roots with first
+    support p are used up, coordinate p of the remainder must be zero, and
+    the remainder must stay in the root cone.
+    """
+    n = len(beta)
+    roots = positive_roots(n)
+    first_support = [next(i for i, x in enumerate(r) if x) for r in roots] + [n]
+    rhov = rho(n)
+    heights = [sum(a * x for a, x in zip(rhov, r)) for r in roots]
+
+    def count(idx, remaining):
+        if any(remaining[: first_support[idx]]) or not in_positive_root_cone(remaining):
+            return {}
+        if idx == len(roots):
+            return {0: 1}
+        key = (idx, remaining)
+        hit = _REFERENCE_MEMO.get(key)
+        if hit is not None:
+            return hit
+        h = sum(a * x for a, x in zip(rhov, remaining))
+        out = {}
+        for k in range(h // heights[idx] + 1):
+            sub = count(idx + 1, tuple(x - k * y for x, y in zip(remaining, roots[idx])))
+            for e, c in sub.items():
+                out[e + k] = out.get(e + k, 0) + c
+        _REFERENCE_MEMO[key] = out
+        return out
+
+    return count(0, tuple(beta))
+
+
+def box_betas(n):
+    """Every rank-n beta with entries in -3..5 and |beta|_1 <= 9."""
+    return [b for b in itertools.product(range(-3, 6), repeat=n) if sum(map(abs, b)) <= 9]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_q_kostant_matches_per_root_dp_on_box(n):
+    for beta in box_betas(n):
+        assert q_kostant(beta).coefficients() == reference_q_kostant(beta), beta
+
+
+def test_q_kostant_matches_per_root_dp_rank5_sample():
+    in_cone = [b for b in box_betas(5) if in_positive_root_cone(b)]
+    for beta in random.Random(5).sample(in_cone, 400):
+        assert q_kostant(beta).coefficients() == reference_q_kostant(beta), beta
+
+
+def test_memo_holds_no_dead_states():
+    # every state the DP builds can be completed, so none counts to zero
+    clear_caches()
+    for beta in box_betas(4):
+        q_kostant(beta)
+    kostka_def((2, 2, 1, 1, 0), (0,) * 5)
+    assert set(cache_sizes()) == {4, 5}
+    assert all(all(t.memo.values()) for t in kostant._TABLES.values())
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_root_count_and_leading_signs(n):
     roots = positive_roots(n)

@@ -6,8 +6,8 @@ the file was made; ``make_kostka_golden.py`` remakes it.  A pair of those
 weights that is not in the table has K_{lam,mu} = 0.
 """
 
-import sys
 import pathlib
+import sys
 
 from symplectic_kf import charge_kostka, kostka_def
 

@@ -1,10 +1,17 @@
-"""The outputs README's "Command line" block documents are what the CLI prints."""
+"""The outputs README documents are what the program prints.
 
+That is the "Command line" block's outputs, and the ``# ...`` comments on the
+``print`` lines of the "Caches" Python block.
+"""
+
+import contextlib
+import io
 import pathlib
 import shlex
 
 import pytest
 
+import symplectic_kf
 from symplectic_kf import cli
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -41,3 +48,26 @@ def test_documented_outputs_are_found():
 @pytest.mark.parametrize("line,expected", CASES, ids=[line for line, _ in CASES])
 def test_documented_output(line, expected):
     assert cli.run(shlex.split(line)[1:]) == (0, expected)
+
+
+def caches_block():
+    """The Python block of README's "Caches" section."""
+    text = README.read_text()
+    section = text[text.index("## Caches") :]
+    block = section[section.index("```python\n") + len("```python\n") :]
+    return block[: block.index("```")]
+
+
+def test_caches_block_prints_what_it_documents():
+    block = caches_block()
+    expected = [
+        line.split("# ", 1)[1]
+        for line in block.splitlines()
+        if line.startswith("print(") and "# " in line
+    ]
+    assert expected
+    symplectic_kf.clear_caches()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    assert out.getvalue().splitlines() == expected
