@@ -242,16 +242,17 @@ def run(argv) -> tuple[int, str]:
             result = insert_into_tableau(args.letter, tab)
             out.append(format_tableau(result))
         elif args.command == "verify":
-            if args.max_weight is not None and args.max_weight < 0:
-                raise ValueError(f"--max-weight must be nonnegative, got {args.max_weight}")
-            if args.lam is not None and args.mu is not None:
+            given = (args.lam is not None, args.mu is not None, args.max_weight is not None)
+            if given not in ((True, True, False), (False, False, True)):
+                raise ValueError("verify needs both --lambda and --mu, or --max-weight alone")
+            if args.max_weight is None:
                 lam = _parse_partition(args.lam, args.n)
                 mu = _parse_partition(args.mu, args.n)
                 report = verify_conjecture(lam, mu, args.n)
                 out.append(report.to_text())
                 return (2 if report.verdict == "mismatch" else 0), "\n".join(out) + "\n"
-            if args.max_weight is None:
-                raise ValueError("verify needs --max-weight or both --lambda and --mu")
+            if args.max_weight < 0:
+                raise ValueError(f"--max-weight must be nonnegative, got {args.max_weight}")
             code = _run_sweep(args.n, args.max_weight, out)
             return code, "\n".join(out) + "\n"
     except (ValueError, OverflowError) as exc:

@@ -136,6 +136,7 @@ def q_kostant(beta: Weight) -> QPolynomial:
     and the closing 2e_p steps in leading-position order, memoized per rank
     in a table shared by every beta of that rank.
     """
+    beta = tuple(beta)
     n = len(beta)
     table = _TABLES.get(n)
     if table is None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .algebra import Weight, is_dominant
@@ -24,22 +25,10 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-# (gamma, r, n) -> the Pieri multiplicities as (lambda, count) pairs, built on
-# first use; the rank-lowering recurrence asks for the same few again and again.
-_PIERI_MEMO: dict[tuple[Weight, int, int], tuple[tuple[Weight, int], ...]] = {}
-
-# (lam, mu, n) -> K_{lam,mu} as a flat tuple (e0, c0, e1, c1, ...) with
-# ascending exponents, () for zero; a tuple per pair would triple its size.  It
-# holds every pair the recurrence reaches: rank 1 by the closed form, the
-# recurrence where its hypothesis holds, and kostka_def where it fails, so
-# kostka_morris checks the hypothesis before it looks here.
-_MORRIS_MEMO: dict[tuple[Weight, Weight, int], tuple[int, ...]] = {}
-
-
 def clear_caches() -> None:
     """Drop the Pieri memo and the Morris memo."""
-    _PIERI_MEMO.clear()
-    _MORRIS_MEMO.clear()
+    _pieri_terms.cache_clear()
+    _kostka_terms.cache_clear()
 
 
 def _check_rank(n: int) -> None:
@@ -62,12 +51,10 @@ def pieri(gamma: Weight, r: int, n: int) -> dict[Weight, int]:
     return dict(_pieri_terms(gamma, r, n))
 
 
+# the rank-lowering recurrence asks for the same few (gamma, r, n) again and again
+@functools.cache
 def _pieri_terms(gamma: Weight, r: int, n: int) -> tuple[tuple[Weight, int], ...]:
-    key = (gamma, r, n)
-    terms = _PIERI_MEMO.get(key)
-    if terms is None:
-        terms = _PIERI_MEMO[key] = tuple(_pieri_count(gamma, r, n).items())
-    return terms
+    return tuple(_pieri_count(gamma, r, n).items())
 
 
 def _pieri_count(gamma: Weight, r: int, n: int) -> dict[Weight, int]:
@@ -137,19 +124,21 @@ def kostka_morris(nu: Weight, mu: Weight, n: int) -> QPolynomial:
     return QPolynomial(dict(zip(terms[::2], terms[1::2])))
 
 
+@functools.cache
 def _kostka_terms(lam: Weight, mu: Weight, n: int) -> tuple[int, ...]:
-    """K_{lam,mu} for dominant lam, mu of rank n, by the cheapest exact route."""
-    key = (lam, mu, n)
-    terms = _MORRIS_MEMO.get(key)
-    if terms is None:
-        if n == 1:
-            terms = _kostka_rank1(lam, mu)
-        elif mu[0] >= lam[1]:
-            terms = _morris_terms(lam, mu, n)
-        else:
-            terms = _flat_terms(kostka_def(lam, mu).coefficients())
-        _MORRIS_MEMO[key] = terms
-    return terms
+    """K_{lam,mu} for dominant lam, mu of rank n, by the cheapest exact route.
+
+    The value is a flat tuple (e0, c0, e1, c1, ...) with ascending exponents,
+    () for zero; a tuple per pair would triple the memo's size.  The memo
+    holds every pair the recurrence reaches: rank 1 by the closed form, the
+    recurrence where its hypothesis holds, and kostka_def where it fails, so
+    kostka_morris checks the hypothesis before it calls this.
+    """
+    if n == 1:
+        return _kostka_rank1(lam, mu)
+    if mu[0] >= lam[1]:
+        return _morris_terms(lam, mu, n)
+    return _flat_terms(kostka_def(lam, mu).coefficients())
 
 
 def _morris_terms(nu: Weight, mu: Weight, n: int) -> tuple[int, ...]:

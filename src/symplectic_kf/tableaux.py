@@ -148,58 +148,33 @@ class _ColumnTable(NamedTuple):
     weights: tuple[Weight, ...]
 
 
-class _ColumnGraph:
-    """The rank-n column tables and the successor lists between them.
-
-    ``table(h)`` holds the admissible columns of height h; ``successors(h1, h2)``
-    gives, for each height-h1 column C, the indices of the height-h2 columns
-    C' with rC <= lC', the condition for C' to stand right of C in a tableau.
-    Both are built on first use and kept until ``clear_caches``.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.tables: dict[int, _ColumnTable] = {}
-        self.succ: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
-
-    def table(self, height: int) -> _ColumnTable:
-        table = self.tables.get(height)
-        if table is None:
-            n = self.n
-            letters = list(range(-n, 0)) + list(range(1, n + 1))
-            splits = {}
-            for col in itertools.combinations(letters, height):
-                split = admissible_split(col, n)
-                if split is not None:
-                    splits[col] = split
-            table = self.tables[height] = _ColumnTable(
-                tuple(splits),
-                tuple(l_col for l_col, _ in splits.values()),
-                tuple(r_col for _, r_col in splits.values()),
-                tuple(word_weight(col, n) for col in splits),
-            )
-        return table
-
-    def successors(self, h1: int, h2: int) -> tuple[tuple[int, ...], ...]:
-        key = (h1, h2)
-        succ = self.succ.get(key)
-        if succ is None:
-            left = self.table(h2).left
-            succ = self.succ[key] = tuple(
-                tuple(j for j, l_col in enumerate(left) if column_leq(r_col, l_col))
-                for r_col in self.table(h1).right
-            )
-        return succ
+@functools.cache
+def _column_table(n: int, height: int) -> _ColumnTable:
+    """The rank-n admissible columns of one height, kept until ``clear_caches``."""
+    letters = list(range(-n, 0)) + list(range(1, n + 1))
+    splits = {}
+    for col in itertools.combinations(letters, height):
+        split = admissible_split(col, n)
+        if split is not None:
+            splits[col] = split
+    return _ColumnTable(
+        tuple(splits),
+        tuple(l_col for l_col, _ in splits.values()),
+        tuple(r_col for _, r_col in splits.values()),
+        tuple(word_weight(col, n) for col in splits),
+    )
 
 
-_GRAPHS: dict[int, _ColumnGraph] = {}
-
-
-def _column_graph(n: int) -> _ColumnGraph:
-    graph = _GRAPHS.get(n)
-    if graph is None:
-        graph = _GRAPHS[n] = _ColumnGraph(n)
-    return graph
+@functools.cache
+def _successors(n: int, h1: int, h2: int) -> tuple[tuple[int, ...], ...]:
+    """For each rank-n column C of height h1, the indices of the height-h2
+    columns C' with rC <= lC', the condition for C' to stand right of C in a
+    tableau.  Kept until ``clear_caches``."""
+    left = _column_table(n, h2).left
+    return tuple(
+        tuple(j for j, l_col in enumerate(left) if column_leq(r_col, l_col))
+        for r_col in _column_table(n, h1).right
+    )
 
 
 # The split of the most recent columns, valid at every rank where they are
@@ -218,13 +193,14 @@ def fits_right_of(left: Column, col: Column) -> bool:
 def clear_caches() -> None:
     """Drop every rank's column tables and successor lists, and the rank-free
     splits."""
-    _GRAPHS.clear()
+    _column_table.cache_clear()
+    _successors.cache_clear()
     free_split.cache_clear()
 
 
 def admissible_columns(height: int, n: int) -> tuple[Column, ...]:
     """All n-admissible columns of the given height, sorted."""
-    return _column_graph(n).table(height).columns
+    return _column_table(n, height).columns
 
 
 # ---------------------------------------------------------------- insertion
@@ -462,9 +438,8 @@ def enumerate_tableaux(lam, mu: Weight, n: int) -> list[Tableau]:
     heights = conjugate_heights(lam)
     if not heights:
         return [()] if not any(mu) else []
-    graph = _column_graph(n)
-    tables = [graph.table(h) for h in heights]
-    succ = [graph.successors(h1, h2) for h1, h2 in zip(heights, heights[1:])]
+    tables = [_column_table(n, h) for h in heights]
+    succ = [_successors(n, h1, h2) for h1, h2 in zip(heights, heights[1:])]
     boxes_after = [sum(heights[i:]) for i in range(len(heights))]
     last = len(heights) - 1
     cols: list[Column] = [()] * len(heights)

@@ -154,6 +154,12 @@ def test_verify_mismatch_exit_code(monkeypatch):
         ("verify", "-n", "0", "--max-weight", "2"),  # checked 1 pair
         ("verify", "-n", "3", "--max-weight", "-1"),  # checked 0 pairs
         ("verify", "-n", "-1", "--max-weight", "2"),  # leaked a repeat() error
+        ("verify", "-n", "2", "--lambda", "2,0", "--max-weight", "2"),  # swept 16 pairs
+        ("verify", "-n", "2", "--mu", "0,0", "--max-weight", "2"),  # swept 16 pairs
+        # ran the pair and dropped --max-weight
+        ("verify", "-n", "2", "--lambda", "2,0", "--mu", "0,0", "--max-weight", "2"),
+        ("verify", "-n", "2", "--lambda", "2,0"),
+        ("verify", "-n", "2", "--mu", "0,0"),
     ],
 )
 def test_domain_errors_exit_one(argv, capsys):

@@ -136,6 +136,11 @@ def test_q_kostant_fixtures():
     assert q_kostant((2, 0)) == QPolynomial({1: 1, 2: 1, 3: 1})
 
 
+def test_q_kostant_takes_a_list():
+    for beta in ((2, 0), (1, -1, 2), (0, 0), (3, -1)):
+        assert q_kostant(list(beta)) == q_kostant(beta), beta
+
+
 def test_q_kostant_against_brute_force_exhaustive():
     for n in (1, 2):
         for beta in itertools.product(range(-4, 5), repeat=n):

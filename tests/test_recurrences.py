@@ -152,7 +152,10 @@ def test_morris_memo_keeps_the_hypothesis_check():
     # the rank-3 recurrence stores K_{(2,2),(1,1)} from kostka_def, where the
     # rank-2 hypothesis fails; asking for it at rank 2 must still be refused
     kostka_morris((2, 2, 2), (2, 1, 1), 3)
-    assert ((2, 2), (1, 1), 2) in recurrences._MORRIS_MEMO
+    before = recurrences._kostka_terms.cache_info()
+    recurrences._kostka_terms((2, 2), (1, 1), 2)
+    after = recurrences._kostka_terms.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
     with pytest.raises(ValueError, match="hypothesis"):
         kostka_morris((2, 2), (1, 1), 2)
 

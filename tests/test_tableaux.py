@@ -1,13 +1,16 @@
 import functools
+import importlib
 import itertools
+import pkgutil
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symplectic_kf import clear_caches, recurrences, tableaux
-from symplectic_kf.crystal import crystal_lower, weyl_reflect, word_weight
+import symplectic_kf
+from symplectic_kf import clear_caches
+from symplectic_kf.crystal import crystal_lower, crystal_raise, weyl_reflect, word_weight
 from symplectic_kf.kostant import cache_sizes, kostka_def
 from symplectic_kf.recurrences import kostka_morris, pieri
 from symplectic_kf.tableaux import (
@@ -268,6 +271,27 @@ def test_reverse_insert_undoes_insertion_drawn(word, x):
     assert reverse_insert(bigger, corner) == (x, tab)
 
 
+@st.composite
+def words_and_colors(draw):
+    n = draw(st.integers(1, 4))
+    word = draw(st.lists(st.sampled_from([v for v in range(-n, n + 1) if v]), max_size=7))
+    return tuple(word), draw(st.integers(0, n - 1))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(words_and_colors(), st.sampled_from([crystal_lower, crystal_raise]))
+def test_insertion_commutes_with_crystal_operators_drawn(case, operator):
+    # w and reading(P(w)) are crystal-isomorphic (Lecouvey, J. Algebra 247,
+    # 2002), so f_i and e_i act on both alike and annihilate both together
+    word, i = case
+    image = operator(word, i)
+    expected = operator(reading(insertion_tableau(word)), i)
+    if image is None:
+        assert expected is None
+    else:
+        assert reading(insertion_tableau(image)) == expected
+
+
 def test_contract_column_fixtures():
     assert contract_column((-3, -1, 1, 3), 3) == (-1, 1)
     assert contract_column((-1, 1), 1) == ()
@@ -386,19 +410,42 @@ def test_enumerate_rejects_wrong_length_weight():
         enumerate_tableaux((1, 0, 0), (1, 0, 0, 0), 3)
 
 
+def package_caches():
+    """Every functools cache defined in a module of the package, once each."""
+    caches = {}
+    for info in pkgutil.iter_modules(symplectic_kf.__path__):
+        module = importlib.import_module(f"symplectic_kf.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_info") and hasattr(obj, "cache_clear"):
+                caches.setdefault(id(obj), (f"{info.name}.{name}", obj))
+    return list(caches.values())
+
+
+def fill_package_caches():
+    return (
+        enumerate_tableaux((2, 2, 0), (0, 0, 0), 3),
+        pieri((1, 0), 1, 2),
+        kostka_morris((4, 2, 0), (2, 0, 0), 3),
+        minimal_rank(T("-1,1;2")),
+    )
+
+
 def test_clear_caches_rebuilds_column_tables():
-    first = enumerate_tableaux((2, 2, 0), (0, 0, 0), 3)
-    pieri((1, 0), 1, 2)
-    k_first = kostka_morris((4, 2, 0), (2, 0, 0), 3)
-    assert tableaux._GRAPHS[3].tables and recurrences._PIERI_MEMO
-    assert recurrences._MORRIS_MEMO
-    clear_caches()
-    assert not tableaux._GRAPHS and not recurrences._PIERI_MEMO and not cache_sizes()
-    assert not recurrences._MORRIS_MEMO
-    assert enumerate_tableaux((2, 2, 0), (0, 0, 0), 3) == first
-    assert tableaux._GRAPHS[3].tables
-    assert kostka_morris((4, 2, 0), (2, 0, 0), 3) == k_first
-    assert ((4, 2, 0), (2, 0, 0), 3) in recurrences._MORRIS_MEMO
+    # a cache that clear_caches forgets, or that this workload does not
+    # reach, fails here
+    caches = package_caches()
+    assert len(caches) >= 5
+    results = []
+    for _ in range(2):
+        clear_caches()
+        for name, cache in caches:
+            assert cache.cache_info().currsize == 0, name
+        assert not cache_sizes()
+        results.append(fill_package_caches())
+        for name, cache in caches:
+            assert cache.cache_info().currsize > 0, name
+        assert cache_sizes()
+    assert results[0] == results[1]
 
 
 def crystal_closure_readings(lam, n):
