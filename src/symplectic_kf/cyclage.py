@@ -20,6 +20,27 @@ from .tableaux import (
 )
 
 
+# The chain memo: tableau -> (cocyclages left, terminal column) for tableaux
+# that charge chains passed through.  A chain does not depend on the rank, so
+# one memo serves every rank.  ``charge`` stores every third tableau of each
+# new segment, never the start, so a later chain that merges into a stored one
+# meets a stored tableau within three steps.  Entries share one copy of each
+# column and of each value through _chain_shared, which on the rank-3 sweep
+# of size <= 8 (2798 charges, 2481 entries) holds the memo near 0.4 MB
+# instead of 0.75 MB.  Both are emptied wholesale when the memo holds
+# _CHAIN_MEMO_CAP entries.
+_CHAIN_STRIDE = 3
+_CHAIN_MEMO_CAP = 16_384
+_chain_tails: dict[Tableau, tuple[int, Column]] = {}
+_chain_shared: dict = {}
+
+
+def clear_caches() -> None:
+    """Drop the chain memo."""
+    _chain_tails.clear()
+    _chain_shared.clear()
+
+
 class ChainRepetitionError(RuntimeError):
     """A charge chain revisited a tableau, which the theory forbids."""
 
@@ -143,34 +164,47 @@ class ChargeChain:
         return [self.start] + [t for t, _ in self.steps]
 
 
+def _chain_steps(tab: Tableau):
+    """Yield (result, "reduction" | "cocyclage") for each step of the chain
+    from ``tab``, down to a weight-0 column or the empty tableau.
+
+    Each step depends on the tableau it starts from alone, never on the rank.
+    """
+    cur = tab
+    while True:
+        for cur in _reductions(cur):
+            yield cur, "reduction"
+        if len(cur) <= 1:
+            return
+        cur = _pop_insert(cur)  # _reductions stopped at an authorized tableau
+        yield cur, "cocyclage"
+
+
+def _revisited(tab: Tableau, t: Tableau) -> ChainRepetitionError:
+    return ChainRepetitionError(
+        f"chain from {format_tableau(tab)} revisited {format_tableau(t)}"
+    )
+
+
 def charge_chain(tab: Tableau, n: int) -> ChargeChain:
     """Iterate reduction and cocyclage until a weight-0 column, recording steps.
 
-    The theory guarantees termination without repetition; a repeat raises
-    ChainRepetitionError since it can only come from an implementation bug.
+    This is the reference trace: it walks every step and keeps no memo, and
+    ``charge`` is tested against it.  The theory guarantees termination
+    without repetition; a repeat raises ChainRepetitionError since it can only
+    come from an implementation bug.
     """
     _check_chain_start(tab, n)
     seen = {tab}
     steps: list[tuple[Tableau, str]] = []
-    p = 0
     cur = tab
-
-    def record(t: Tableau, kind: str):
-        if t in seen:
-            raise ChainRepetitionError(
-                f"chain from {format_tableau(tab)} revisited {format_tableau(t)}"
-            )
-        seen.add(t)
-        steps.append((t, kind))
-
-    while True:
-        for cur in _reductions(cur):
-            record(cur, "reduction")
-        if len(cur) <= 1:
-            return ChargeChain(tab, tuple(steps), cur[0] if cur else (), p)
-        cur = _pop_insert(cur)  # _reductions stopped at an authorized tableau
-        p += 1
-        record(cur, "cocyclage")
+    for cur, kind in _chain_steps(tab):
+        if cur in seen:
+            raise _revisited(tab, cur)
+        seen.add(cur)
+        steps.append((cur, kind))
+    p = sum(kind == "cocyclage" for _, kind in steps)
+    return ChargeChain(tab, tuple(steps), cur[0] if cur else (), p)
 
 
 def charge_column(col: Column, n: int) -> int:
@@ -186,9 +220,50 @@ def charge_column(col: Column, n: int) -> int:
 
 
 def charge(tab: Tableau, n: int) -> int:
-    """Charge of the terminal column plus the number of cocyclage steps."""
-    chain = charge_chain(tab, n)
-    return charge_column(chain.terminal, n) + chain.p
+    """Charge of the terminal column plus the number of cocyclage steps.
+
+    Gives what ``charge_chain``, the reference, gives, but reuses chain tails
+    across calls: the walk stops at the first tableau found in the chain memo,
+    whose entry holds the cocyclages left and the terminal column.  Only the
+    new segment, the steps walked in this call, is checked for a repeated
+    tableau.  That suffices: the step function is deterministic, and every
+    stored tail was checked when it was stored.
+    """
+    _check_chain_start(tab, n)
+    p, term = _chain_tails.get(tab) or _walk_chain(tab)
+    return charge_column(term, n) + p
+
+
+def _walk_chain(tab: Tableau) -> tuple[int, Column]:
+    """(cocyclages, terminal column) of the chain from ``tab``, walked until
+    the terminal column or a tableau of the chain memo; stores every third
+    tableau of the new segment."""
+    memo = _chain_tails
+    seen = {tab}
+    segment = []  # (tableau, cocyclages up to it) for each new step
+    p = 0
+    cur = tab
+    for cur, kind in _chain_steps(tab):
+        p += kind == "cocyclage"
+        tail = memo.get(cur)
+        if tail is not None:
+            left, term = tail
+            break
+        if cur in seen:
+            raise _revisited(tab, cur)
+        seen.add(cur)
+        segment.append((cur, p))
+    else:
+        left, term = 0, (cur[0] if cur else ())
+    p += left
+    intern = _chain_shared.setdefault
+    for t, walked in segment[_CHAIN_STRIDE - 1 :: _CHAIN_STRIDE]:
+        if len(memo) >= _CHAIN_MEMO_CAP:
+            memo.clear()
+            _chain_shared.clear()
+        value = (p - walked, intern(term, term))
+        memo[tuple([intern(c, c) for c in t])] = intern(value, value)
+    return p, term
 
 
 # ----------------------------------------------------------------- the graphs

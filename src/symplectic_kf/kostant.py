@@ -129,6 +129,16 @@ def cache_sizes() -> dict[int, int]:
     return {n: len(t.memo) for n, t in sorted(_TABLES.items())}
 
 
+def _kostant_counts(beta: Weight) -> dict[int, int]:
+    """q_kostant(beta) as exponent -> count, often a memo's own dict: read it,
+    never mutate it."""
+    n = len(beta)
+    table = _TABLES.get(n)
+    if table is None:
+        table = _TABLES[n] = _KostantTable(n)
+    return table.count(0, beta) if in_positive_root_cone(beta) else _NO_WAYS
+
+
 def q_kostant(beta: Weight) -> QPolynomial:
     """Number of ways to write beta as a sum of exactly k positive roots, as q^k.
 
@@ -136,12 +146,7 @@ def q_kostant(beta: Weight) -> QPolynomial:
     and the closing 2e_p steps in leading-position order, memoized per rank
     in a table shared by every beta of that rank.
     """
-    beta = tuple(beta)
-    n = len(beta)
-    table = _TABLES.get(n)
-    if table is None:
-        table = _TABLES[n] = _KostantTable(n)
-    return QPolynomial(table.count(0, beta) if in_positive_root_cone(beta) else _NO_WAYS)
+    return QPolynomial(_kostant_counts(tuple(beta)))
 
 
 def _weyl_terms(lam_rho: Weight, mu_rho: Weight):
@@ -198,7 +203,7 @@ def kostka_def(lam: Weight, mu: Weight) -> QPolynomial:
     mu_rho = tuple(a + b for a, b in zip(mu, rhov))
     total: dict[int, int] = {}
     for sign, beta in _weyl_terms(lam_rho, mu_rho):
-        for e, c in q_kostant(beta).coefficients().items():
+        for e, c in _kostant_counts(beta).items():
             total[e] = total.get(e, 0) + sign * c
     result = QPolynomial(total)
     if not result.is_nonnegative():

@@ -438,6 +438,11 @@ def enumerate_tableaux(lam, mu: Weight, n: int) -> list[Tableau]:
     heights = conjugate_heights(lam)
     if not heights:
         return [()] if not any(mu) else []
+    if (sum(heights) - sum(mu)) % 2:
+        # a letter moves one weight entry by +-1, so the entries of a weight
+        # sum to the box count mod 2; that parity holds at every node of the
+        # walk if it holds at the root, so one test cuts every branch
+        return []
     tables = [_column_table(n, h) for h in heights]
     succ = [_successors(n, h1, h2) for h1, h2 in zip(heights, heights[1:])]
     boxes_after = [sum(heights[i:]) for i in range(len(heights))]

@@ -1,10 +1,14 @@
+import itertools
 import random
 
 import pytest
 
 import symplectic_kf
+from make_kostka_golden import dominant_weights
+from symplectic_kf import cyclage
 from symplectic_kf.crystal import weyl_reflect
 from symplectic_kf.cyclage import (
+    ChainRepetitionError,
     CyclageGraph,
     charge,
     charge_chain,
@@ -433,3 +437,86 @@ def test_boxes_right_of_first_column_never_grow_under_cocyclage():
                 assert n_r(prev, r) >= n_r(cur, r), (prev, cur)
                 pairs += 1
     assert pairs > 15
+
+
+# ------------------------------------------------------------- the chain memo
+
+def reference_charge(tab, n):
+    chain = charge_chain(tab, n)
+    return charge_column(chain.terminal, n) + chain.p
+
+
+def sweep_n3_tableaux():
+    weights = dominant_weights(3, 8)
+    return [t for lam in weights for mu in weights for t in enumerate_tableaux(lam, mu, 3)]
+
+
+def rank4_component_vertices():
+    """The vertices of the rank-4 components of two 8-box (shape, weight) pairs."""
+    verts = set()
+    for lam, mu in [((2, 2, 2, 2), (0, 0, 0, 0)), ((3, 3, 1, 1), (1, 1, 0, 0))]:
+        for root in enumerate_tableaux(lam, mu, 4):
+            if root not in verts:
+                verts.update(component(root).vertices)
+    return sorted(verts, key=reading)
+
+
+def check_charge_matches_chain():
+    cases = [(t, 3) for t in sweep_n3_tableaux()]
+    cases += [(v, 4) for v in rank4_component_vertices()]
+    assert len(cases) > 5000
+    symplectic_kf.clear_caches()
+    got = [charge(t, n) for t, n in cases]
+    assert got == [reference_charge(t, n) for t, n in cases]
+
+
+def test_charge_matches_chain_reference():
+    check_charge_matches_chain()
+    assert len(cyclage._chain_tails) > 1000
+
+
+def test_charge_matches_chain_reference_through_memo_clears(monkeypatch):
+    monkeypatch.setattr(cyclage, "_CHAIN_MEMO_CAP", 7)
+    check_charge_matches_chain()
+    assert 0 < len(cyclage._chain_tails) <= 7
+
+
+def test_memo_reaches_stored_tableau_within_stride():
+    symplectic_kf.clear_caches()
+    tab = T("-3;-2;-1;1")
+    steps = [t for t, _ in charge_chain(tab, 3).steps]
+    assert len(steps) > 2 * cyclage._CHAIN_STRIDE
+    assert charge(tab, 3) == reference_charge(tab, 3)
+    # the start is never stored; of the rest, every third tableau is
+    stored = [t in cyclage._chain_tails for t in [tab] + steps]
+    assert stored == [i > 0 and i % cyclage._CHAIN_STRIDE == 0 for i in range(len(stored))]
+    for t in steps:
+        assert charge(t, 3) == reference_charge(t, 3)
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_cycling_chain_raises_with_cold_or_warm_memo(monkeypatch, warm):
+    start = T("-3,-2,1;-3,-1")
+    symplectic_kf.clear_caches()
+    if warm:
+        # store tails of start's true chain and of another pair's chains
+        for t in [start] + enumerate_tableaux((2, 1, 0), (1, 0, 0), 3):
+            charge(t, 3)
+        assert cyclage._chain_tails
+    # a stored start or first step would end the walk before the cycle
+    authorized, _ = reduce(start, 3)
+    assert start not in cyclage._chain_tails
+    assert authorized not in cyclage._chain_tails
+    calls = itertools.count()
+
+    def cycling_pop_insert(t):
+        # a cocyclage that sends the authorized tableau back to the start;
+        # fails rather than loops if the repeat goes unnoticed
+        assert next(calls) < 100, "the chain ran on past a repeated tableau"
+        return start
+
+    monkeypatch.setattr(cyclage, "_pop_insert", cycling_pop_insert)
+    with pytest.raises(ChainRepetitionError):
+        charge(start, 3)
+    with pytest.raises(ChainRepetitionError):
+        charge_chain(start, 3)

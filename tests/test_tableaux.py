@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symplectic_kf
-from symplectic_kf import clear_caches
+from symplectic_kf import clear_caches, cyclage
 from symplectic_kf.crystal import crystal_lower, crystal_raise, weyl_reflect, word_weight
+from symplectic_kf.cyclage import charge
 from symplectic_kf.kostant import cache_sizes, kostka_def
 from symplectic_kf.recurrences import kostka_morris, pieri
 from symplectic_kf.tableaux import (
@@ -421,12 +422,21 @@ def package_caches():
     return list(caches.values())
 
 
+# the memos kept in plain dicts rather than functools caches, besides the
+# q-Kostant memo that cache_sizes() reports
+MEMO_DICTS = [
+    ("cyclage._chain_tails", cyclage._chain_tails),
+    ("cyclage._chain_shared", cyclage._chain_shared),
+]
+
+
 def fill_package_caches():
     return (
         enumerate_tableaux((2, 2, 0), (0, 0, 0), 3),
         pieri((1, 0), 1, 2),
         kostka_morris((4, 2, 0), (2, 0, 0), 3),
         minimal_rank(T("-1,1;2")),
+        charge(T("-3;-2;-1;1"), 3),
     )
 
 
@@ -440,10 +450,14 @@ def test_clear_caches_rebuilds_column_tables():
         clear_caches()
         for name, cache in caches:
             assert cache.cache_info().currsize == 0, name
+        for name, memo in MEMO_DICTS:
+            assert not memo, name
         assert not cache_sizes()
         results.append(fill_package_caches())
         for name, cache in caches:
             assert cache.cache_info().currsize > 0, name
+        for name, memo in MEMO_DICTS:
+            assert memo, name
         assert cache_sizes()
     assert results[0] == results[1]
 
