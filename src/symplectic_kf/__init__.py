@@ -6,7 +6,7 @@ statistic over symplectic tableaux — plus the crystal-word, insertion and
 cyclage-graph machinery the charge route is built on.
 """
 
-from . import cyclage, kostant, recurrences, tableaux
+from . import algebra, cyclage, kostant, recurrences, tableaux
 from .algebra import (
     act,
     dot_act,
@@ -70,9 +70,11 @@ def clear_caches() -> None:
     """Empty every table and memo the package keeps.
 
     That is each rank's q-Kostant memo, each rank's column tables with their
-    successor lists, the rank-free column splits, the Pieri memo, the Morris
-    memo and the charge-chain memo.  All of them refill on demand.
+    successor lists and weight boxes, the rank-free column splits, each
+    rank's Weyl group, the Pieri memo, the Morris memo and the charge-chain
+    memo.  All of them refill on demand.
     """
+    algebra.clear_caches()
     cyclage.clear_caches()
     kostant.clear_caches()
     tableaux.clear_caches()

@@ -8,12 +8,11 @@ action on barred symbols follows by conjugation.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterator
 
 Weight = tuple[int, ...]
 SignedPermutation = tuple[int, ...]
-
-_GROUP_CACHE: dict[int, list[tuple[SignedPermutation, int]]] = {}
 
 
 def rho(n: int) -> Weight:
@@ -58,30 +57,39 @@ def weyl_group(n: int) -> Iterator[tuple[SignedPermutation, int]]:
     """Yield all 2^n * n! signed permutations with their Coxeter lengths.
 
     Lengths come from a breadth-first search over the generators, so they are
-    computed once per rank and cached.
+    computed once per rank and kept until ``clear_caches``.
     """
     if n < 1:
         raise ValueError("rank must be >= 1")
-    if n not in _GROUP_CACHE:
-        gens = generators(n)
-        ident = identity(n)
-        seen = {ident: 0}
-        order = [(ident, 0)]
-        frontier = [ident]
-        depth = 0
-        while frontier:
-            depth += 1
-            nxt = []
-            for w in frontier:
-                for g in gens:
-                    wg = compose(w, g)
-                    if wg not in seen:
-                        seen[wg] = depth
-                        order.append((wg, depth))
-                        nxt.append(wg)
-            frontier = nxt
-        _GROUP_CACHE[n] = order
-    yield from _GROUP_CACHE[n]
+    yield from _group(n)
+
+
+@functools.cache
+def _group(n: int) -> tuple[tuple[SignedPermutation, int], ...]:
+    """The rank-n group in breadth-first order, with Coxeter lengths."""
+    gens = generators(n)
+    ident = identity(n)
+    seen = {ident: 0}
+    order = [(ident, 0)]
+    frontier = [ident]
+    depth = 0
+    while frontier:
+        depth += 1
+        nxt = []
+        for w in frontier:
+            for g in gens:
+                wg = compose(w, g)
+                if wg not in seen:
+                    seen[wg] = depth
+                    order.append((wg, depth))
+                    nxt.append(wg)
+        frontier = nxt
+    return tuple(order)
+
+
+def clear_caches() -> None:
+    """Drop every rank's group."""
+    _group.cache_clear()
 
 
 def act(sigma: SignedPermutation, beta: Weight) -> Weight:

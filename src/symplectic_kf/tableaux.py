@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from operator import ge, sub
+from operator import add, ge, le, sub
 from typing import NamedTuple
 
 from .algebra import Weight, is_dominant
@@ -177,6 +177,30 @@ def _successors(n: int, h1: int, h2: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
+@functools.cache
+def _weight_boxes(n: int, heights: tuple[int, ...]) -> tuple[tuple[Weight, Weight] | None, ...]:
+    """For each rank-n column C of height heights[0], the coordinatewise
+    (lo, hi) of the weights of the column chains over ``heights`` that start
+    at C and follow the successor lists; None when no chain does.  Built from
+    the boxes of heights[1:], so shapes that share a suffix of column heights
+    share them.  Kept until ``clear_caches``."""
+    weights = _column_table(n, heights[0]).weights
+    if len(heights) == 1:
+        return tuple((w, w) for w in weights)
+    rest = _weight_boxes(n, heights[1:])
+    out = []
+    for w, nxt in zip(weights, _successors(n, heights[0], heights[1])):
+        boxes = [rest[k] for k in nxt if rest[k] is not None]
+        if not boxes:
+            out.append(None)
+            continue
+        lows, highs = zip(*boxes)
+        lo = map(min, zip(*lows))
+        hi = map(max, zip(*highs))
+        out.append((tuple(map(add, w, lo)), tuple(map(add, w, hi))))
+    return tuple(out)
+
+
 # The split of the most recent columns, valid at every rank where they are
 # admissible, kept until ``clear_caches``.  On the rank-4 cyclage components
 # 1024 entries (about 0.25 MB) answer 84% of the lookups; keeping every split
@@ -191,10 +215,11 @@ def fits_right_of(left: Column, col: Column) -> bool:
 
 
 def clear_caches() -> None:
-    """Drop every rank's column tables and successor lists, and the rank-free
-    splits."""
+    """Drop every rank's column tables, successor lists and weight boxes, and
+    the rank-free splits."""
     _column_table.cache_clear()
     _successors.cache_clear()
+    _weight_boxes.cache_clear()
     free_split.cache_clear()
 
 
@@ -428,7 +453,9 @@ def enumerate_tableaux(lam, mu: Weight, n: int) -> list[Tableau]:
 
     Column-by-column backtracking over the rank-n column graph: the first
     column ranges over its whole table, each later one over the successors of
-    the column left of it.  The result is sorted lexicographically by reading.
+    the column left of it, and a column is taken only when the weight still
+    to be placed lies in its weight box.  The result is sorted
+    lexicographically by reading.
     """
     if not is_dominant(tuple(lam)):
         raise ValueError(f"{lam} is not dominant")
@@ -438,13 +465,21 @@ def enumerate_tableaux(lam, mu: Weight, n: int) -> list[Tableau]:
     heights = conjugate_heights(lam)
     if not heights:
         return [()] if not any(mu) else []
-    if (sum(heights) - sum(mu)) % 2:
+    size = sum(heights)
+    if (size - sum(mu)) % 2 or sum(map(abs, mu)) > size:
         # a letter moves one weight entry by +-1, so the entries of a weight
-        # sum to the box count mod 2; that parity holds at every node of the
-        # walk if it holds at the root, so one test cuts every branch
+        # sum to the box count mod 2 and their absolute values to at most the
+        # box count.  The parity holds at every node of the walk if it holds
+        # at the root, so one test cuts every branch; the L1 bound, which the
+        # walk tests again at each node, is tested here before any table is
+        # built
         return []
     tables = [_column_table(n, h) for h in heights]
     succ = [_successors(n, h1, h2) for h1, h2 in zip(heights, heights[1:])]
+    # shortest suffix first: each table is built from a cached one, so the
+    # build recurses one level, not once per column
+    weight_boxes = [_weight_boxes(n, tuple(heights[i:])) for i in reversed(range(len(heights)))]
+    weight_boxes.reverse()
     boxes_after = [sum(heights[i:]) for i in range(len(heights))]
     last = len(heights) - 1
     cols: list[Column] = [()] * len(heights)
@@ -461,10 +496,15 @@ def enumerate_tableaux(lam, mu: Weight, n: int) -> list[Tableau]:
                     cols[idx] = columns[j]
                     results.append(tuple(cols))
             return
-        nxt = succ[idx]
+        nxt, box = succ[idx], weight_boxes[idx]
         for j in candidates:
-            cols[idx] = columns[j]
-            walk(idx + 1, nxt[j], tuple(map(sub, diff, weights[j])))
+            # some chain of columns from j must reach diff in every coordinate
+            if box[j] is None:
+                continue
+            lo, hi = box[j]
+            if all(map(le, lo, diff)) and all(map(le, diff, hi)):
+                cols[idx] = columns[j]
+                walk(idx + 1, nxt[j], tuple(map(sub, diff, weights[j])))
 
     walk(0, range(len(tables[0].columns)), mu)
     return sorted(results, key=reading)

@@ -197,6 +197,24 @@ def test_morris_specializes_to_row_formula():
                 assert kostka_morris(nu, mu, n) == kostka_row(p, mu, n), (p, mu, n)
 
 
+@st.composite
+def row_pairs(draw):
+    """(p, mu, n) with n <= 5, p <= 8 and mu dominant of size at most p."""
+    n = draw(st.integers(1, 5))
+    p = draw(st.integers(0, 8))
+    parts = []
+    for _ in range(n):
+        parts.append(draw(st.integers(0, p - sum(parts))))
+    return p, tuple(sorted(parts, reverse=True)), n
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(row_pairs())
+def test_row_formula_equals_definitional_drawn(case):
+    p, mu, n = case
+    assert kostka_row(p, mu, n) == kostka_def((p,) + (0,) * (n - 1), mu)
+
+
 def test_row_fixtures():
     assert kostka_row(2, (0, 0), 2) == QPolynomial({1: 1, 3: 1})
     assert kostka_row(2, (0, 0, 0), 3) == QPolynomial({1: 1, 3: 1, 5: 1})

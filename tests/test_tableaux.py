@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 
 import symplectic_kf
 from symplectic_kf import clear_caches, cyclage
+from symplectic_kf.algebra import weyl_group
 from symplectic_kf.crystal import crystal_lower, crystal_raise, weyl_reflect, word_weight
 from symplectic_kf.cyclage import charge
 from symplectic_kf.kostant import cache_sizes, kostka_def
 from symplectic_kf.recurrences import kostka_morris, pieri
 from symplectic_kf.tableaux import (
     SearchBudgetExceeded,
+    _weight_boxes,
     admissible_columns,
     admissible_split,
     column_leq,
@@ -406,6 +408,14 @@ def test_counts_match_weight_multiplicities_rank3():
     check_counts_match_weight_multiplicities(3, 6)
 
 
+def test_enumerate_wide_shape_builds_boxes_shallowly():
+    # the weight boxes of a 600-column shape are built from the shortest
+    # suffix up; built from the longest down they recurse once per column
+    # and pass the interpreter's recursion limit
+    clear_caches()
+    assert len(enumerate_tableaux((600,), (600,), 1)) == 1
+
+
 def test_enumerate_rejects_wrong_length_weight():
     with pytest.raises(ValueError):
         enumerate_tableaux((1, 0, 0), (1, 0, 0, 0), 3)
@@ -437,6 +447,7 @@ def fill_package_caches():
         kostka_morris((4, 2, 0), (2, 0, 0), 3),
         minimal_rank(T("-1,1;2")),
         charge(T("-3;-2;-1;1"), 3),
+        list(weyl_group(2)),
     )
 
 
@@ -445,6 +456,7 @@ def test_clear_caches_rebuilds_column_tables():
     # reach, fails here
     caches = package_caches()
     assert len(caches) >= 5
+    assert {"algebra._group", "tableaux._weight_boxes"} <= {name for name, _ in caches}
     results = []
     for _ in range(2):
         clear_caches()
@@ -515,16 +527,41 @@ def reference_tableaux(lam, n):
     return out
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_enumeration_matches_reference(n):
-    # the same tableaux in the same order, for every weight, zero or not
-    for lam in dominant_vectors(n, 6):
+    # the same tableaux in the same order, for every dominant weight, zero or
+    # not, and every weight of the reference listing, dominant or not
+    size = 6 if n <= 3 else 5
+    for lam in dominant_vectors(n, size):
         by_weight = {}
         for tab in reference_tableaux(lam, n):
             by_weight.setdefault(tableau_weight(tab, n), []).append(tab)
-        for mu in dominant_vectors(n, 6):
+        for mu in set(dominant_vectors(n, size)) | set(by_weight):
             expected = sorted(by_weight.get(mu, []), key=reading)
             assert enumerate_tableaux(lam, mu, n) == expected, (lam, mu)
+
+
+@pytest.mark.parametrize("n,boxes", [(1, 6), (2, 6), (3, 6), (4, 4)])
+def test_weight_boxes_are_exact(n, boxes):
+    # each box is the coordinatewise min and max of the weights of the
+    # reference tableaux whose first column is that column, and None exactly
+    # where no tableau starts with it: a looser box would still enumerate
+    # correctly, so only this test sees it.  The shapes run over every
+    # sequence of column heights with at most ``boxes`` boxes.
+    for lam in dominant_vectors(n, boxes):
+        heights = tuple(conjugate_heights(lam))
+        if not heights:
+            continue
+        weights = {}
+        for tab in reference_tableaux(lam, n):
+            weights.setdefault(tab[0], []).append(tableau_weight(tab, n))
+        expected = [
+            (tuple(map(min, zip(*weights[col]))), tuple(map(max, zip(*weights[col]))))
+            if col in weights
+            else None
+            for col in admissible_columns(heights[0], n)
+        ]
+        assert list(_weight_boxes(n, heights)) == expected, heights
 
 
 @pytest.mark.parametrize(
