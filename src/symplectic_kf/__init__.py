@@ -38,7 +38,7 @@ from .cyclage import (
     reduce,
     translate,
 )
-from .kostant import cache_sizes, kostka_def, positive_roots, q_kostant
+from .kostant import kostka_def, positive_roots, q_kostant
 from .qpoly import QPolynomial, format_poly, parse_poly
 from .recurrences import (
     VerificationReport,
@@ -66,19 +66,39 @@ from .tableaux import (
 )
 
 
-def clear_caches() -> None:
-    """Empty every table and memo the package keeps.
+# Everything the package keeps between calls, by name: the functools caches,
+# and the memo dicts, whose size is a policy of their module.  The dicts are
+# only ever emptied in place, never rebound, so these references stay theirs.
+_CACHES = {
+    "algebra._group": algebra._group,
+    "tableaux._column_table": tableaux._column_table,
+    "tableaux._successors": tableaux._successors,
+    "tableaux._weight_boxes": tableaux._weight_boxes,
+    "tableaux.free_split": tableaux.free_split,
+    "recurrences._pieri_terms": recurrences._pieri_terms,
+    "recurrences._kostka_terms": recurrences._kostka_terms,
+    "kostant._pair_steps": kostant._pair_steps,
+    "kostant._memo": kostant._memo,
+    "cyclage._chain_tails": cyclage._chain_tails,
+    "cyclage._chain_shared": cyclage._chain_shared,
+}
 
-    That is each rank's q-Kostant memo, each rank's column tables with their
-    successor lists and weight boxes, the rank-free column splits, each
-    rank's Weyl group, the Pieri memo, the Morris memo and the charge-chain
-    memo.  All of them refill on demand.
-    """
-    algebra.clear_caches()
-    cyclage.clear_caches()
-    kostant.clear_caches()
-    tableaux.clear_caches()
-    recurrences.clear_caches()
+
+def clear_caches() -> None:
+    """Empty every cache and memo the package keeps; each refills on demand."""
+    for cache in _CACHES.values():
+        if isinstance(cache, dict):
+            cache.clear()
+        else:
+            cache.cache_clear()
+
+
+def cache_sizes() -> dict[str, int]:
+    """The entries each cache and memo of the package holds now, by name."""
+    return {
+        name: len(cache) if isinstance(cache, dict) else cache.cache_info().currsize
+        for name, cache in _CACHES.items()
+    }
 
 
 __all__ = [

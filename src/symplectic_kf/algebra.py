@@ -87,11 +87,6 @@ def _group(n: int) -> tuple[tuple[SignedPermutation, int], ...]:
     return tuple(order)
 
 
-def clear_caches() -> None:
-    """Drop every rank's group."""
-    _group.cache_clear()
-
-
 def act(sigma: SignedPermutation, beta: Weight) -> Weight:
     """Permute coordinates with sign flips: (sigma b)_ibar = +-b_|sigma(i)|bar."""
     n = len(sigma)

@@ -35,12 +35,6 @@ _chain_tails: dict[Tableau, tuple[int, Column]] = {}
 _chain_shared: dict = {}
 
 
-def clear_caches() -> None:
-    """Drop the chain memo."""
-    _chain_tails.clear()
-    _chain_shared.clear()
-
-
 class ChainRepetitionError(RuntimeError):
     """A charge chain revisited a tableau, which the theory forbids."""
 
@@ -310,7 +304,8 @@ class CyclageGraph:
     def sink(self) -> Tableau:
         with_out = {a for a, _ in self.edges}
         sinks = [v for v in self.vertices if v not in with_out]
-        assert len(sinks) == 1
+        if len(sinks) != 1:
+            raise ValueError(f"a cyclage graph has one sink, not {len(sinks)}")
         return sinks[0]
 
 

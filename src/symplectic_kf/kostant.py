@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
+import functools
 from itertools import accumulate
 
 from .algebra import Weight, is_dominant, rho
 from .qpoly import QPolynomial
 
-# Entries one rank's state memo may hold before it is emptied wholesale.  At
-# rank 6 one Weyl sum such as K_{(2,2,2,2,2,0),0} fills about 24k entries of
-# about 750 bytes each (key, value dict and memo slot, read with
-# tracemalloc), so the cap leaves room for a sweep and bounds a rank's memo
+# Entries the state memo may hold, all ranks together, before it is emptied
+# wholesale.  At rank 6 one Weyl sum such as K_{(2,2,2,2,2,0),0} fills about
+# 24k entries of about 750 bytes each (key, value dict and memo slot, read
+# with tracemalloc), so the cap leaves room for a sweep and bounds the memo
 # near 150 MB.
 _MEMO_CAP = 200_000
 
@@ -56,8 +57,23 @@ def in_positive_root_cone(beta: Weight) -> bool:
     return s % 2 == 0
 
 
-class _KostantTable:
-    """The rank-n pair steps and one memo of partial counts shared by every beta.
+@functools.cache
+def _pair_steps(n: int) -> tuple[tuple[int, int, bool], ...]:
+    """(p, j, whether j is the last pair of p) for each rank-n pair step, in order."""
+    return tuple((p, j, j == n - 1) for p in range(n) for j in range(p + 1, n))
+
+
+# The state memo of every rank, (idx, remaining) -> _count's value.  A key's
+# rank is len(remaining), so one memo serves every rank and _MEMO_CAP bounds
+# all ranks together.
+_memo: dict[tuple[int, Weight], dict[int, int]] = {}
+
+
+def _count(idx: int, remaining: Weight) -> dict[int, int]:
+    """The ways to write ``remaining`` as a sum of the pair roots of
+    ``steps[idx:]``, their 2e_p and the roots of the later leading positions,
+    as exponent -> count with one q per root used; ``steps`` is
+    ``_pair_steps(len(remaining))``.
 
     The positive roots with leading position p are e_p - e_j and e_p + e_j for
     j > p, and 2e_p.  The DP takes the pairs (p, j) in order, and the last pair
@@ -66,85 +82,59 @@ class _KostantTable:
     weighted q^s.  After the last pair of p, what is left of coordinate p must
     be even, and 2e_p takes it all: one way, no loop.
 
-    A state ``(idx, remaining)`` stands for the ways to write ``remaining`` as
-    a sum of the pair roots of ``steps[idx:]``, their 2e_p and the roots of
-    the later leading positions, as exponent -> count with one q per root
-    used.  With (p, j) the pair of ``steps[idx]`` and R_k the sum of
-    coordinates p+1..k, a state has coordinates before p zero, lies in the
-    root cone, and has R_k >= 0 for p < k < j, since the pairs that could
-    still move coordinates p+1..j-1 are spent.  The bounds on s and d keep
-    every child in that set, and every state in it can be completed (take
-    s = x, d = -x at each step), so no state that counts to zero is built.
+    With (p, j) the pair of ``steps[idx]`` and R_k the sum of coordinates
+    p+1..k, a state ``(idx, remaining)`` has coordinates before p zero, lies
+    in the root cone, and has R_k >= 0 for p < k < j, since the pairs that
+    could still move coordinates p+1..j-1 are spent.  The bounds on s and d
+    keep every child in that set, and every state in it can be completed
+    (take s = x, d = -x at each step), so no state that counts to zero is
+    built.
     """
-
-    def __init__(self, n: int):
-        # (p, j, whether j is the last pair of p) for each pair step, in order
-        self.steps = [(p, j, j == n - 1) for p in range(n) for j in range(p + 1, n)]
-        self.memo: dict[tuple[int, Weight], dict[int, int]] = {}
-
-    def count(self, idx: int, remaining: Weight) -> dict[int, int]:
-        if idx == len(self.steps):
-            # only 2e_(n-1) is left: every coordinate but the last is zero,
-            # and the cone makes the last one even
-            return {sum(remaining) // 2: 1}
-        key = (idx, remaining)
-        memo = self.memo
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        p, j, closing = self.steps[idx]
-        x = remaining[p]
-        # R_j, and the least of R_j and every R_k after it
-        r_j = sum(remaining[p + 1 : j + 1])
-        r_min = min(accumulate(remaining[j + 1 :], initial=r_j))
-        child = list(remaining)
-        out: dict[int, int] = {}
-        # on the last pair of p, 2e_p takes the x - s left, (x - s) / 2 times,
-        # so s has the parity of x and the weight is q^(s + (x - s) / 2)
-        for s in range(x % 2, x + 1, 2) if closing else range(x + 1):
-            child[p] = 0 if closing else x - s
-            shift = (x + s) // 2 if closing else s
-            # d <= R_j keeps R_j >= 0 for when p is spent; d <= x - s + R_k
-            # keeps the child's prefix sums after j nonnegative
-            for d in range(-s, min(s, r_j, x - s + r_min) + 1, 2):
-                child[j] = remaining[j] - d
-                for e, c in self.count(idx + 1, tuple(child)).items():
-                    out[e + shift] = out.get(e + shift, 0) + c
-        if len(memo) >= _MEMO_CAP:
-            memo.clear()
-        memo[key] = out
-        return out
-
-
-_TABLES: dict[int, _KostantTable] = {}
-
-
-def clear_caches() -> None:
-    """Drop every rank's q-Kostant memo."""
-    _TABLES.clear()
-
-
-def cache_sizes() -> dict[int, int]:
-    """Entries held in the q-Kostant memo of each rank built so far."""
-    return {n: len(t.memo) for n, t in sorted(_TABLES.items())}
+    key = (idx, remaining)
+    hit = _memo.get(key)
+    if hit is not None:
+        return hit
+    steps = _pair_steps(len(remaining))
+    if idx == len(steps):
+        # only 2e_(n-1) is left: every coordinate but the last is zero,
+        # and the cone makes the last one even
+        return {sum(remaining) // 2: 1}
+    p, j, closing = steps[idx]
+    x = remaining[p]
+    # R_j, and the least of R_j and every R_k after it
+    r_j = sum(remaining[p + 1 : j + 1])
+    r_min = min(accumulate(remaining[j + 1 :], initial=r_j))
+    child = list(remaining)
+    out: dict[int, int] = {}
+    # on the last pair of p, 2e_p takes the x - s left, (x - s) / 2 times,
+    # so s has the parity of x and the weight is q^(s + (x - s) / 2)
+    for s in range(x % 2, x + 1, 2) if closing else range(x + 1):
+        child[p] = 0 if closing else x - s
+        shift = (x + s) // 2 if closing else s
+        # d <= R_j keeps R_j >= 0 for when p is spent; d <= x - s + R_k
+        # keeps the child's prefix sums after j nonnegative
+        for d in range(-s, min(s, r_j, x - s + r_min) + 1, 2):
+            child[j] = remaining[j] - d
+            for e, c in _count(idx + 1, tuple(child)).items():
+                out[e + shift] = out.get(e + shift, 0) + c
+    if len(_memo) >= _MEMO_CAP:
+        _memo.clear()
+    _memo[key] = out
+    return out
 
 
 def _kostant_counts(beta: Weight) -> dict[int, int]:
     """q_kostant(beta) as exponent -> count, often a memo's own dict: read it,
     never mutate it."""
-    n = len(beta)
-    table = _TABLES.get(n)
-    if table is None:
-        table = _TABLES[n] = _KostantTable(n)
-    return table.count(0, beta) if in_positive_root_cone(beta) else _NO_WAYS
+    return _count(0, beta) if in_positive_root_cone(beta) else _NO_WAYS
 
 
 def q_kostant(beta: Weight) -> QPolynomial:
     """Number of ways to write beta as a sum of exactly k positive roots, as q^k.
 
     Bounded dynamic programming over the pairs of roots e_p - e_j, e_p + e_j
-    and the closing 2e_p steps in leading-position order, memoized per rank
-    in a table shared by every beta of that rank.
+    and the closing 2e_p steps in leading-position order, with one memo
+    shared by every beta of every rank.
     """
     return QPolynomial(_kostant_counts(tuple(beta)))
 

@@ -25,12 +25,6 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def clear_caches() -> None:
-    """Drop the Pieri memo and the Morris memo."""
-    _pieri_terms.cache_clear()
-    _kostka_terms.cache_clear()
-
-
 def _check_rank(n: int) -> None:
     if n < 1:
         raise ValueError(f"rank must be at least 1, got {n}")

@@ -214,15 +214,6 @@ def fits_right_of(left: Column, col: Column) -> bool:
     return len(left) >= len(col) and column_leq(free_split(left)[1], free_split(col)[0])
 
 
-def clear_caches() -> None:
-    """Drop every rank's column tables, successor lists and weight boxes, and
-    the rank-free splits."""
-    _column_table.cache_clear()
-    _successors.cache_clear()
-    _weight_boxes.cache_clear()
-    free_split.cache_clear()
-
-
 def admissible_columns(height: int, n: int) -> tuple[Column, ...]:
     """All n-admissible columns of the given height, sorted."""
     return _column_table(n, height).columns
@@ -482,20 +473,23 @@ def enumerate_tableaux(lam, mu: Weight, n: int) -> list[Tableau]:
     weight_boxes.reverse()
     boxes_after = [sum(heights[i:]) for i in range(len(heights))]
     last = len(heights) - 1
-    cols: list[Column] = [()] * len(heights)
     results = []
-
-    def walk(idx, candidates, diff):
+    # depth first with an explicit stack, so a wide shape does not pass the
+    # recursion limit: a node holds the columns placed so far, the candidates
+    # for the next one and the weight still to place
+    stack = [((), range(len(tables[0].columns)), mu)]
+    while stack:
+        placed, candidates, diff = stack.pop()
+        idx = len(placed)
         # each remaining box changes one weight entry by +-1
         if sum(map(abs, diff)) > boxes_after[idx]:
-            return
+            continue
         columns, weights = tables[idx].columns, tables[idx].weights
         if idx == last:
             for j in candidates:
                 if weights[j] == diff:
-                    cols[idx] = columns[j]
-                    results.append(tuple(cols))
-            return
+                    results.append(placed + (columns[j],))
+            continue
         nxt, box = succ[idx], weight_boxes[idx]
         for j in candidates:
             # some chain of columns from j must reach diff in every coordinate
@@ -503,8 +497,6 @@ def enumerate_tableaux(lam, mu: Weight, n: int) -> list[Tableau]:
                 continue
             lo, hi = box[j]
             if all(map(le, lo, diff)) and all(map(le, diff, hi)):
-                cols[idx] = columns[j]
-                walk(idx + 1, nxt[j], tuple(map(sub, diff, weights[j])))
+                stack.append((placed + (columns[j],), nxt[j], tuple(map(sub, diff, weights[j]))))
 
-    walk(0, range(len(tables[0].columns)), mu)
     return sorted(results, key=reading)

@@ -103,6 +103,13 @@ def test_deterministic_output():
     assert run(*args) == run(*args)
 
 
+def test_kostka_charge_on_wide_shape():
+    # the enumeration's walk is one column per level: 1100 columns would
+    # pass the recursion limit if it recursed per column
+    code, out = run("kostka", "-n", "1", "--lambda", "1100", "--mu", "1100", "--method", "charge")
+    assert (code, out) == (0, "1\n")
+
+
 def test_verify_single_pair():
     code, out = run("verify", "-n", "3", "--lambda", "2,2,0", "--mu", "0,0,0")
     assert code == 0

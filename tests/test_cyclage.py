@@ -256,6 +256,13 @@ def test_component_fixtures(root):
     g.sink  # exactly one vertex without outgoing edge
 
 
+def test_sink_rejects_a_graph_without_one_sink():
+    # two vertices and no edge: two sinks.  A ValueError, not an assert, so
+    # python -O fails here too
+    with pytest.raises(ValueError, match="one sink"):
+        CyclageGraph((((-1,),), ((1,),)), ()).sink
+
+
 def test_component_rejects_non_tableau():
     # symplectic at no rank: the 1 left of the 2 breaks rC <= lC
     with pytest.raises(ValueError, match="not a symplectic tableau"):

@@ -3,12 +3,10 @@ import random
 
 import pytest
 
-from symplectic_kf import kostant
+from symplectic_kf import cache_sizes, clear_caches, kostant
 from symplectic_kf.algebra import act, rho, weyl_group
 from symplectic_kf.kostant import (
     _weyl_terms,
-    cache_sizes,
-    clear_caches,
     in_positive_root_cone,
     kostka_def,
     positive_roots,
@@ -106,8 +104,8 @@ def test_memo_holds_no_dead_states():
     for beta in box_betas(4):
         q_kostant(beta)
     kostka_def((2, 2, 1, 1, 0), (0,) * 5)
-    assert set(cache_sizes()) == {4, 5}
-    assert all(all(t.memo.values()) for t in kostant._TABLES.values())
+    assert {len(remaining) for _, remaining in kostant._memo} == {4, 5}
+    assert all(kostant._memo.values())
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -245,15 +243,22 @@ def test_kostka_def_rank6_golden():
 
 def test_clear_caches_empties_memo():
     kostka_def((2, 1, 1), (0, 0, 0))
-    assert sum(cache_sizes().values()) > 0
+    assert cache_sizes()["kostant._memo"] > 0
     clear_caches()
-    assert sum(cache_sizes().values()) == 0
+    assert cache_sizes()["kostant._memo"] == 0
 
 
 def test_memo_cap_keeps_results(monkeypatch):
-    want = kostka_def((4, 3, 2, 1), (0, 0, 0, 0))
+    # one memo serves every rank, so the cap bounds ranks 4 and 5 together
+    pairs = [
+        ((4, 3, 2, 1), (0, 0, 0, 0)),
+        ((2, 2, 1, 1, 0), (0,) * 5),
+        ((3, 1, 0, 0), (1, 1, 0, 0)),
+    ]
+    want = [kostka_def(lam, mu) for lam, mu in pairs]
     clear_caches()
     monkeypatch.setattr(kostant, "_MEMO_CAP", 50)
-    assert kostka_def((4, 3, 2, 1), (0, 0, 0, 0)) == want
-    assert 0 < cache_sizes()[4] <= 50
+    for (lam, mu), value in zip(pairs, want):
+        assert kostka_def(lam, mu) == value
+        assert 0 < len(kostant._memo) <= 50
     clear_caches()

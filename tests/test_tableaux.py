@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symplectic_kf
-from symplectic_kf import clear_caches, cyclage
+from symplectic_kf import cache_sizes, clear_caches
 from symplectic_kf.algebra import weyl_group
 from symplectic_kf.crystal import crystal_lower, crystal_raise, weyl_reflect, word_weight
 from symplectic_kf.cyclage import charge
-from symplectic_kf.kostant import cache_sizes, kostka_def
+from symplectic_kf.kostant import kostka_def
 from symplectic_kf.recurrences import kostka_morris, pieri
 from symplectic_kf.tableaux import (
     SearchBudgetExceeded,
@@ -416,6 +416,12 @@ def test_enumerate_wide_shape_builds_boxes_shallowly():
     assert len(enumerate_tableaux((600,), (600,), 1)) == 1
 
 
+def test_enumerate_wide_shape_walks_without_recursion():
+    # 1100 columns, one level of the walk each: a walk that recursed per
+    # column would pass the interpreter's recursion limit
+    assert enumerate_tableaux((1100,), (1100,), 1) == [((-1,),) * 1100]
+
+
 def test_enumerate_rejects_wrong_length_weight():
     with pytest.raises(ValueError):
         enumerate_tableaux((1, 0, 0), (1, 0, 0, 0), 3)
@@ -432,12 +438,15 @@ def package_caches():
     return list(caches.values())
 
 
-# the memos kept in plain dicts rather than functools caches, besides the
-# q-Kostant memo that cache_sizes() reports
-MEMO_DICTS = [
-    ("cyclage._chain_tails", cyclage._chain_tails),
-    ("cyclage._chain_shared", cyclage._chain_shared),
-]
+def package_dicts():
+    """Every dict bound at module level in the package, by name."""
+    dicts = {}
+    for info in pkgutil.iter_modules(symplectic_kf.__path__):
+        module = importlib.import_module(f"symplectic_kf.{info.name}")
+        for name, obj in vars(module).items():
+            if isinstance(obj, dict) and not name.startswith("__"):
+                dicts[f"{info.name}.{name}"] = obj
+    return dicts
 
 
 def fill_package_caches():
@@ -452,25 +461,32 @@ def fill_package_caches():
 
 
 def test_clear_caches_rebuilds_column_tables():
-    # a cache that clear_caches forgets, or that this workload does not
-    # reach, fails here
+    # cache_sizes() reads the package's one list of caches, so its names must
+    # be every functools cache and every module-level dict the workload
+    # fills.  A cache that clear_caches forgets, or that this workload does
+    # not reach, fails here; so does a module-level dict left full, since
+    # every such dict is a memo
     caches = package_caches()
-    assert len(caches) >= 5
-    assert {"algebra._group", "tableaux._weight_boxes"} <= {name for name, _ in caches}
+    assert len(caches) >= 8
+    assert {"algebra._group", "tableaux._weight_boxes", "kostant._pair_steps"} <= {
+        name for name, _ in caches
+    }
+    dicts = package_dicts()
     results = []
     for _ in range(2):
         clear_caches()
         for name, cache in caches:
             assert cache.cache_info().currsize == 0, name
-        for name, memo in MEMO_DICTS:
+        for name, memo in dicts.items():
             assert not memo, name
-        assert not cache_sizes()
+        assert not any(cache_sizes().values()), cache_sizes()
         results.append(fill_package_caches())
+        memos = {name for name, memo in dicts.items() if memo}
+        assert {"kostant._memo", "cyclage._chain_tails", "cyclage._chain_shared"} <= memos
+        assert set(cache_sizes()) == {name for name, _ in caches} | memos
         for name, cache in caches:
             assert cache.cache_info().currsize > 0, name
-        for name, memo in MEMO_DICTS:
-            assert memo, name
-        assert cache_sizes()
+        assert all(cache_sizes().values()), cache_sizes()
     assert results[0] == results[1]
 
 
