@@ -9,7 +9,7 @@ action on barred symbols follows by conjugation.
 from __future__ import annotations
 
 import functools
-from typing import Iterator
+from collections.abc import Iterator
 
 Weight = tuple[int, ...]
 SignedPermutation = tuple[int, ...]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain
 
 from .algebra import is_dominant
@@ -145,14 +145,15 @@ def reduce(tab: Tableau, n: int) -> tuple[Tableau, int]:
     return tab, weight_support_rank(tab)
 
 
-@dataclass(frozen=True)
-class ChargeChain:
-    """Trace of reduce-then-cocycle iterations down to a weight-0 column."""
+class ChargeChain(namedtuple("ChargeChain", "start steps terminal p")):
+    """Trace of reduce-then-cocycle iterations down to a weight-0 column.
 
-    start: Tableau
-    steps: tuple[tuple[Tableau, str], ...]  # (result, "cocyclage" | "reduction")
-    terminal: Column
-    p: int  # number of cocyclage steps
+    ``start`` is the first tableau, ``steps`` the (result, "cocyclage" |
+    "reduction") pairs in order, ``terminal`` the weight-0 column the chain
+    ends at and ``p`` the number of cocyclage steps.
+    """
+
+    __slots__ = ()
 
     def tableaux(self) -> list[Tableau]:
         return [self.start] + [t for t, _ in self.steps]
@@ -293,12 +294,13 @@ def predecessors(tab: Tableau) -> list[Tableau]:
     return out
 
 
-@dataclass(frozen=True)
-class CyclageGraph:
-    """Connected component of the cocyclage graph; a tree rooted at its sink."""
+class CyclageGraph(namedtuple("CyclageGraph", "vertices edges")):
+    """Connected component of the cocyclage graph; a tree rooted at its sink.
 
-    vertices: tuple[Tableau, ...]  # sorted by reading
-    edges: tuple[tuple[Tableau, Tableau], ...]  # (T, U(T)) pairs
+    ``vertices`` are sorted by reading; ``edges`` are the (T, U(T)) pairs.
+    """
+
+    __slots__ = ()
 
     @property
     def sink(self) -> Tableau:

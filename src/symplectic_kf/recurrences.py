@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import Weight, is_dominant
 from .cyclage import charge
@@ -219,16 +219,16 @@ def charge_kostka(lam: Weight, mu: Weight, n: int) -> QPolynomial:
     return _tableau_charges(lam, mu, n)[1]
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Side-by-side comparison of the definitional and charge-generated polynomials."""
+class VerificationReport(
+    namedtuple("VerificationReport", "lam mu n k_definitional k_charge tableau_charges")
+):
+    """Side-by-side comparison of the definitional and charge-generated polynomials.
 
-    lam: Weight
-    mu: Weight
-    n: int
-    k_definitional: QPolynomial
-    k_charge: QPolynomial
-    tableau_charges: tuple[tuple[Tableau, int], ...]
+    ``tableau_charges`` holds a (tableau, charge) pair for each tableau of
+    shape ``lam`` and weight ``mu``.
+    """
+
+    __slots__ = ()
 
     @property
     def verdict(self) -> str:

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from operator import add, ge, le, sub
-from typing import NamedTuple
+from collections import namedtuple
+from operator import add, ge, le, neg, sub
 
 from .algebra import Weight, is_dominant
 from .crystal import Word, word_weight
@@ -139,13 +139,9 @@ def _minimal_rank(tab: Tableau) -> int | None:
     return max((max(map(abs, free_split(col)[1])) for col in tab), default=1)
 
 
-class _ColumnTable(NamedTuple):
-    """The n-admissible columns of one height, sorted, with per-column data."""
-
-    columns: tuple[Column, ...]
-    left: tuple[Column, ...]  # lC of each column
-    right: tuple[Column, ...]  # rC of each column
-    weights: tuple[Weight, ...]
+# The n-admissible columns of one height, sorted, with per-column data: the
+# lC, the rC and the weight of each column.
+_ColumnTable = namedtuple("_ColumnTable", "columns left right weights")
 
 
 @functools.cache
@@ -178,26 +174,30 @@ def _successors(n: int, h1: int, h2: int) -> tuple[tuple[int, ...], ...]:
 
 
 @functools.cache
-def _weight_boxes(n: int, heights: tuple[int, ...]) -> tuple[tuple[Weight, Weight] | None, ...]:
-    """For each rank-n column C of height heights[0], the coordinatewise
-    (lo, hi) of the weights of the column chains over ``heights`` that start
-    at C and follow the successor lists; None when no chain does.  Built from
-    the boxes of heights[1:], so shapes that share a suffix of column heights
-    share them.  Kept until ``clear_caches``."""
-    weights = _column_table(n, heights[0]).weights
-    if len(heights) == 1:
-        return tuple((w, w) for w in weights)
-    rest = _weight_boxes(n, heights[1:])
+def _weight_boxes(n: int, runs: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...] | None, ...]:
+    """For each rank-n column C of height runs[0][0], the weight box of the
+    column chains that start at C and follow the successor lists; None when
+    no chain does.  The box is lo + (-hi), with lo and hi the coordinatewise
+    min and max of the chains' weights, so a weight d lies in it exactly when
+    box <= d + (-d) coordinatewise, and the boxes of a set of chains combine
+    by one coordinatewise min.  The chains run over the column heights that
+    ``runs`` spells as (height, count) pairs, so a key holds at most n pairs
+    however wide the shape.  Built from the boxes of the chains one column
+    shorter, so shapes that share a suffix of column heights share them.
+    Kept until ``clear_caches``."""
+    height, count = runs[0]
+    spans = [w + tuple(map(neg, w)) for w in _column_table(n, height).weights]
+    if count > 1:
+        tail = ((height, count - 1),) + runs[1:]
+    elif len(runs) > 1:
+        tail = runs[1:]
+    else:
+        return tuple(spans)
+    rest = _weight_boxes(n, tail)
     out = []
-    for w, nxt in zip(weights, _successors(n, heights[0], heights[1])):
+    for span, nxt in zip(spans, _successors(n, height, tail[0][0])):
         boxes = [rest[k] for k in nxt if rest[k] is not None]
-        if not boxes:
-            out.append(None)
-            continue
-        lows, highs = zip(*boxes)
-        lo = map(min, zip(*lows))
-        hi = map(max, zip(*highs))
-        out.append((tuple(map(add, w, lo)), tuple(map(add, w, hi))))
+        out.append(tuple(map(add, span, map(min, zip(*boxes)))) if boxes else None)
     return tuple(out)
 
 
@@ -469,9 +469,16 @@ def enumerate_tableaux(lam, mu: Weight, n: int) -> list[Tableau]:
     succ = [_successors(n, h1, h2) for h1, h2 in zip(heights, heights[1:])]
     # shortest suffix first: each table is built from a cached one, so the
     # build recurses one level, not once per column
-    weight_boxes = [_weight_boxes(n, tuple(heights[i:])) for i in reversed(range(len(heights)))]
+    weight_boxes = []
+    runs = ()
+    for h in reversed(heights):
+        if runs and runs[0][0] == h:
+            runs = ((h, runs[0][1] + 1),) + runs[1:]
+        else:
+            runs = ((h, 1),) + runs
+        weight_boxes.append(_weight_boxes(n, runs))
     weight_boxes.reverse()
-    boxes_after = [sum(heights[i:]) for i in range(len(heights))]
+    boxes_after = list(itertools.accumulate(reversed(heights)))[::-1]
     last = len(heights) - 1
     results = []
     # depth first with an explicit stack, so a wide shape does not pass the
@@ -491,12 +498,10 @@ def enumerate_tableaux(lam, mu: Weight, n: int) -> list[Tableau]:
                     results.append(placed + (columns[j],))
             continue
         nxt, box = succ[idx], weight_boxes[idx]
+        span = diff + tuple(map(neg, diff))
         for j in candidates:
             # some chain of columns from j must reach diff in every coordinate
-            if box[j] is None:
-                continue
-            lo, hi = box[j]
-            if all(map(le, lo, diff)) and all(map(le, diff, hi)):
+            if box[j] is not None and all(map(le, box[j], span)):
                 stack.append((placed + (columns[j],), nxt[j], tuple(map(sub, diff, weights[j]))))
 
     return sorted(results, key=reading)

@@ -3,6 +3,7 @@ import importlib
 import itertools
 import pkgutil
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -559,8 +560,9 @@ def test_enumeration_matches_reference(n):
 
 @pytest.mark.parametrize("n,boxes", [(1, 6), (2, 6), (3, 6), (4, 4)])
 def test_weight_boxes_are_exact(n, boxes):
-    # each box is the coordinatewise min and max of the weights of the
-    # reference tableaux whose first column is that column, and None exactly
+    # each box is the coordinatewise min, then the negated coordinatewise
+    # max, of the weights of the reference tableaux whose first column is
+    # that column, and None exactly
     # where no tableau starts with it: a looser box would still enumerate
     # correctly, so only this test sees it.  The shapes run over every
     # sequence of column heights with at most ``boxes`` boxes.
@@ -572,12 +574,29 @@ def test_weight_boxes_are_exact(n, boxes):
         for tab in reference_tableaux(lam, n):
             weights.setdefault(tab[0], []).append(tableau_weight(tab, n))
         expected = [
-            (tuple(map(min, zip(*weights[col]))), tuple(map(max, zip(*weights[col]))))
+            tuple(map(min, zip(*weights[col]))) + tuple(-x for x in map(max, zip(*weights[col])))
             if col in weights
             else None
             for col in admissible_columns(heights[0], n)
         ]
-        assert list(_weight_boxes(n, heights)) == expected, heights
+        runs = tuple((h, len(list(group))) for h, group in itertools.groupby(heights))
+        assert list(_weight_boxes(n, runs)) == expected, heights
+
+
+def test_weight_boxes_of_a_wide_row_stay_small():
+    # keyed by runs of column heights, a 2000-column row leaves 2000 keys of
+    # one pair each; keyed by the heights themselves, their keys held 2000
+    # suffixes of up to 2000 heights, about 17 MB
+    _weight_boxes.cache_clear()
+    tracemalloc.start()
+    try:
+        assert enumerate_tableaux((2000,), (2000,), 1) == [((-1,),) * 2000]
+        filled = tracemalloc.get_traced_memory()[0]
+        _weight_boxes.cache_clear()
+        held = filled - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 1_000_000, held
 
 
 @pytest.mark.parametrize(
