@@ -6,19 +6,11 @@ statistic over symplectic tableaux — plus the crystal-word, insertion and
 cyclage-graph machinery the charge route is built on.
 """
 
-from . import algebra, cyclage, kostant, recurrences, tableaux
-from .algebra import (
-    act,
-    dot_act,
-    is_dominant,
-    rho,
-    straighten,
-    weyl_group,
-)
+from . import cyclage, kostant, recurrences, tableaux
+from .algebra import act, is_dominant, rho
 from .crystal import (
     crystal_lower,
     crystal_raise,
-    crystal_step,
     is_highest,
     string_lengths,
     weyl_reflect,
@@ -60,7 +52,6 @@ from .tableaux import (
     insertion_tableau,
     is_symplectic,
     parse_tableau,
-    plactic_equivalent,
     reading,
     reverse_insert,
 )
@@ -70,7 +61,6 @@ from .tableaux import (
 # and the memo dicts, whose size is a policy of their module.  The dicts are
 # only ever emptied in place, never rebound, so these references stay theirs.
 _CACHES = {
-    "algebra._group": algebra._group,
     "tableaux._column_table": tableaux._column_table,
     "tableaux._successors": tableaux._successors,
     "tableaux._weight_boxes": tableaux._weight_boxes,
@@ -118,9 +108,7 @@ __all__ = [
     "contract_column",
     "crystal_lower",
     "crystal_raise",
-    "crystal_step",
     "CyclageGraph",
-    "dot_act",
     "enumerate_tableaux",
     "format_poly",
     "format_tableau",
@@ -138,7 +126,6 @@ __all__ = [
     "parse_poly",
     "parse_tableau",
     "pieri",
-    "plactic_equivalent",
     "positive_roots",
     "predecessors",
     "q_kostant",
@@ -146,13 +133,11 @@ __all__ = [
     "reduce",
     "reverse_insert",
     "rho",
-    "straighten",
     "string_lengths",
     "translate",
     "VerificationReport",
     "verify_conjecture",
     "verify_fundamental_conjecture",
-    "weyl_group",
     "weyl_reflect",
     "word_weight",
 ]

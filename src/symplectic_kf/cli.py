@@ -18,7 +18,6 @@ from .recurrences import (
     verify_conjecture,
 )
 from .tableaux import (
-    SearchBudgetExceeded,
     format_tableau,
     insert_into_tableau,
     is_symplectic,
@@ -29,7 +28,7 @@ from .tableaux import (
 JOBS_ENV_VAR = "KF_VERIFY_JOBS"
 
 # Failures a computation reports as a bug in the program, not in the input.
-_TYPED_ERRORS = (PositivityError, ChainRepetitionError, SearchBudgetExceeded)
+_TYPED_ERRORS = (PositivityError, ChainRepetitionError)
 
 
 def _parse_partition(text: str, n: int | None = None) -> tuple[int, ...]:

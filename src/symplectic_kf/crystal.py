@@ -96,14 +96,6 @@ def crystal_lower(w: Word, i: int) -> Word | None:
     return w[:p] + (_to_minus(w[p], i),) + w[p + 1 :]
 
 
-def crystal_step(w: Word, i: int, direction: str) -> Word | None:
-    if direction == "raise":
-        return crystal_raise(w, i)
-    if direction == "lower":
-        return crystal_lower(w, i)
-    raise ValueError(f"direction must be 'raise' or 'lower', got {direction!r}")
-
-
 def weyl_reflect(w: Word, i: int) -> Word:
     """Generator s_i on words: flip the exceeding symbols of the signature.
 
@@ -120,13 +112,6 @@ def weyl_reflect(w: Word, i: int) -> Word:
         for p in pluses[: s - r]:
             out[p] = _to_minus(out[p], i)
     return tuple(out)
-
-
-def apply_generators(w: Word, indices) -> Word:
-    """Act by the product s_{i_1} ... s_{i_k}, rightmost factor first."""
-    for i in reversed(tuple(indices)):
-        w = weyl_reflect(w, i)
-    return w
 
 
 def is_highest(w: Word, n: int) -> bool:

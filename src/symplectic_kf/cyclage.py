@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import chain
 
-from .algebra import is_dominant
+from .algebra import check_rank, is_dominant
 from .crystal import Word, weight_counts
 from .tableaux import (
     Column,
@@ -115,6 +115,7 @@ def _reduction_step(tab: Tableau) -> Tableau:
 
 
 def _check_chain_start(tab: Tableau, n: int) -> None:
+    check_rank(n)
     d = weight_counts(chain.from_iterable(tab))
     m = max(d, default=0)
     if not is_dominant(tuple(d.get(k, 0) for k in range(m, 0, -1))):

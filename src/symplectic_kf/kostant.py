@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 from itertools import accumulate
 
-from .algebra import Weight, is_dominant, rho
+from .algebra import Weight, check_rank, is_dominant, rho
 from .qpoly import QPolynomial
 
 # Entries the state memo may hold, all ranks together, before it is emptied
@@ -146,7 +146,8 @@ def _weyl_terms(lam_rho: Weight, mu_rho: Weight):
     for an unused j, and cuts a branch as soon as a prefix sum of beta goes
     negative.  lam_rho is strictly decreasing and positive, so each signed
     permutation gives a distinct vector, and its sign (-1)^l(w) is the parity
-    of inversions plus sign flips, as in ``algebra.straighten``.
+    of inversions plus sign flips, as in ``straighten`` of
+    ``tests/weyl_reference.py``.
     """
     n = len(lam_rho)
     used = [False] * n
@@ -176,12 +177,13 @@ def _weyl_terms(lam_rho: Weight, mu_rho: Weight):
 def kostka_def(lam: Weight, mu: Weight) -> QPolynomial:
     """Alternating Weyl-group sum over the q-Kostant partition function.
 
-    Both arguments must be dominant weights of the same rank.  Only the Weyl
-    terms whose beta lies in the positive root cone are visited; the rest are
-    zero.  The result is checked for nonnegative coefficients; a violation
-    signals a bug, not a property of the inputs.
+    Both arguments must be dominant weights of the same rank, at least 1.
+    Only the Weyl terms whose beta lies in the positive root cone are visited;
+    the rest are zero.  The result is checked for nonnegative coefficients;
+    a violation signals a bug, not a property of the inputs.
     """
     n = len(lam)
+    check_rank(n)
     if len(mu) != n:
         raise ValueError(f"rank mismatch: {n} vs {len(mu)}")
     if not is_dominant(lam):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 from collections import namedtuple
 
-from .algebra import Weight, is_dominant
+from .algebra import Weight, check_rank, is_dominant
 from .cyclage import charge
 from .kostant import kostka_def
 from .qpoly import QPolynomial
@@ -25,11 +25,6 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def _check_rank(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"rank must be at least 1, got {n}")
-
-
 def pieri(gamma: Weight, r: int, n: int) -> dict[Weight, int]:
     """Multiplicities n_lambda in the product of B(gamma) with the rank-n row crystal.
 
@@ -38,7 +33,7 @@ def pieri(gamma: Weight, r: int, n: int) -> dict[Weight, int]:
     lambda with lambda_ibar = gamma_ibar - k_i + k_ibar.  Memoised per
     (gamma, r, n); every call returns a fresh dict.
     """
-    _check_rank(n)
+    check_rank(n)
     gamma = tuple(gamma)
     if len(gamma) != n or not is_dominant(gamma):
         raise ValueError(f"{gamma} is not a dominant rank-{n} weight")
@@ -106,7 +101,7 @@ def kostka_morris(nu: Weight, mu: Weight, n: int) -> QPolynomial:
     back to the definitional sum, so the result is always exact.  Every term,
     this one included, is memoised per (lam, mu, n) until ``clear_caches``.
     """
-    _check_rank(n)
+    check_rank(n)
     nu, mu = tuple(nu), tuple(mu)
     if len(nu) != n or len(mu) != n:
         raise ValueError("rank mismatch")
@@ -157,7 +152,7 @@ def kostka_row(p: int, mu: Weight, n: int) -> QPolynomial:
     and total p; f(mu) = sum (n-i) mu_ibar and
     theta(L) = sum (2(n-i)+1)(k_ibar - mu_ibar).
     """
-    _check_rank(n)
+    check_rank(n)
     if len(mu) != n or not is_dominant(mu):
         raise ValueError(f"{mu} is not a dominant rank-{n} weight")
     size = sum(mu)

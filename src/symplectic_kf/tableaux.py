@@ -15,15 +15,11 @@ import itertools
 from collections import namedtuple
 from operator import add, ge, le, neg, sub
 
-from .algebra import Weight, is_dominant
+from .algebra import Weight, check_rank, is_dominant
 from .crystal import Word, word_weight
 
 Column = tuple[int, ...]
 Tableau = tuple[Column, ...]
-
-
-class SearchBudgetExceeded(RuntimeError):
-    """A bounded word-rewriting search ran out of budget (indeterminate)."""
 
 
 # ---------------------------------------------------------------- text format
@@ -367,76 +363,6 @@ def contract_column(col: Column, n: int) -> Column:
     raise ValueError(f"no contractible pair in {col}")
 
 
-# ------------------------------------------------------------ plactic closure
-
-def _rewrites(w: Word, n: int) -> set[Word]:
-    """Words one elementary relation away, staying inside the rank-n alphabet."""
-    out = set()
-    for p in range(len(w) - 2):
-        a, b, x = w[p], w[p + 1], w[p + 2]
-        head, tail = w[:p], w[p + 3 :]
-        if a < x <= b and b != -a:
-            out.add(head + (b, a, x) + tail)
-        if b < x <= a and a != -b:  # inverse of relation 1
-            out.add(head + (b, a, x) + tail)
-        if x <= a < b and b != -x:
-            out.add(head + (a, x, b) + tail)
-        if b <= a < x and x != -b:  # inverse of relation 2
-            out.add(head + (a, x, b) + tail)
-        if 0 < b < n and a == -b and -b <= x <= b:
-            out.add(head + (b + 1, -(b + 1), x) + tail)
-        if a >= 2 and b == -a and -(a - 1) <= x <= a - 1:  # inverse of relation 3
-            out.add(head + (-(a - 1), a - 1, x) + tail)
-        if b > 0 and x == -b and -b < a < b:
-            out.add(head + (a, -(b - 1), b - 1) + tail)
-        if 1 <= x < n and b == -x and -(x + 1) < a < x + 1:  # inverse of relation 4
-            out.add(head + (a, x + 1, -(x + 1)) + tail)
-    return out
-
-
-def plactic_equivalent(w1: Word, w2: Word, n: int, budget: int = 20000) -> bool:
-    """Bounded bidirectional closure under the length-preserving relations.
-
-    Raises SearchBudgetExceeded when the search explores more than ``budget``
-    words without deciding; that outcome is indeterminate, not False.
-    """
-    if len(w1) != len(w2):
-        raise ValueError("the contraction-free congruence preserves length")
-    if w1 == w2:
-        return True
-    if word_weight(w1, n) != word_weight(w2, n):
-        return False
-    seen1, seen2 = {w1}, {w2}
-    frontier1, frontier2 = {w1}, {w2}
-    explored = 0
-    while frontier1 or frontier2:
-        # expand the smaller frontier
-        if frontier1 and (not frontier2 or len(frontier1) <= len(frontier2)):
-            frontier, seen, other = frontier1, seen1, seen2
-            which = 1
-        else:
-            frontier, seen, other = frontier2, seen2, seen1
-            which = 2
-        nxt = set()
-        for w in frontier:
-            for v in _rewrites(w, n):
-                if v in other:
-                    return True
-                if v not in seen:
-                    seen.add(v)
-                    nxt.add(v)
-                    explored += 1
-                    if explored > budget:
-                        raise SearchBudgetExceeded(
-                            f"plactic search exceeded {budget} states"
-                        )
-        if which == 1:
-            frontier1 = nxt
-        else:
-            frontier2 = nxt
-    return False
-
-
 # ---------------------------------------------------------------- enumeration
 
 def enumerate_tableaux(lam, mu: Weight, n: int) -> list[Tableau]:
@@ -448,6 +374,7 @@ def enumerate_tableaux(lam, mu: Weight, n: int) -> list[Tableau]:
     to be placed lies in its weight box.  The result is sorted
     lexicographically by reading.
     """
+    check_rank(n)
     if not is_dominant(tuple(lam)):
         raise ValueError(f"{lam} is not dominant")
     mu = tuple(mu)

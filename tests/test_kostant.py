@@ -4,7 +4,7 @@ import random
 import pytest
 
 from symplectic_kf import cache_sizes, clear_caches, kostant
-from symplectic_kf.algebra import act, rho, weyl_group
+from symplectic_kf.algebra import act, rho
 from symplectic_kf.kostant import (
     _weyl_terms,
     in_positive_root_cone,
@@ -13,6 +13,7 @@ from symplectic_kf.kostant import (
     q_kostant,
 )
 from symplectic_kf.qpoly import QPolynomial
+from weyl_reference import weyl_group
 
 
 def brute_force_counts(beta, n):
@@ -155,8 +156,17 @@ def test_q_kostant_against_brute_force_rank3():
 
 
 def test_kostka_def_diagonal_is_one():
-    for lam in [(0,), (3,), (2, 1), (3, 2, 0)]:
-        assert kostka_def(lam, lam) == QPolynomial.one()
+    # rho(n) reaches past the golden table's n <= 4, up to rank 10
+    for lam in [(0,), (3,), (2, 1), (3, 2, 0)] + [rho(n) for n in range(1, 11)]:
+        assert kostka_def(lam, lam) == QPolynomial.one(), lam
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_kostka_def_long_root_at_zero_gives_the_exponents(n):
+    # K_{(2,0,...,0),0} = q + q^3 + ... + q^(2n-1): the exponents 1, 3, ...,
+    # 2n-1 of C_n (Kostant, Amer. J. Math. 85, 1963)
+    lam = (2,) + (0,) * (n - 1)
+    assert kostka_def(lam, (0,) * n) == QPolynomial(dict.fromkeys(range(1, 2 * n, 2), 1))
 
 
 def test_kostka_def_rank1_closed_form():

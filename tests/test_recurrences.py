@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from symplectic_kf import recurrences
 from symplectic_kf.algebra import is_dominant
 from symplectic_kf.crystal import is_highest, word_weight
-from symplectic_kf.cyclage import charge_chain, reduce
+from symplectic_kf.cyclage import charge, charge_chain, reduce
 from symplectic_kf.kostant import kostka_def
 from symplectic_kf.qpoly import QPolynomial
 from symplectic_kf.recurrences import (
@@ -123,8 +123,27 @@ def test_pieri_rejects_non_dominant():
         lambda n: pieri((), 1, n),
         lambda n: kostka_row(0, (), n),
         lambda n: kostka_morris((), (), n),
+        # kostka_def reads its rank off lam: () for both n
+        lambda n: kostka_def((0,) * n, (0,) * n),
+        lambda n: enumerate_tableaux((), (), n),
+        lambda n: charge_kostka((), (), n),
+        lambda n: verify_conjecture((), (), n),
+        lambda n: charge((), n),
+        lambda n: charge_chain((), n),
+        lambda n: reduce((), n),
     ],
-    ids=["pieri", "kostka_row", "kostka_morris"],
+    ids=[
+        "pieri",
+        "kostka_row",
+        "kostka_morris",
+        "kostka_def",
+        "enumerate_tableaux",
+        "charge_kostka",
+        "verify_conjecture",
+        "charge",
+        "charge_chain",
+        "reduce",
+    ],
 )
 @pytest.mark.parametrize("n", [0, -1])
 def test_rank_below_one_is_rejected(call, n):

@@ -11,13 +11,11 @@ from hypothesis import strategies as st
 
 import symplectic_kf
 from symplectic_kf import cache_sizes, clear_caches
-from symplectic_kf.algebra import weyl_group
 from symplectic_kf.crystal import crystal_lower, crystal_raise, weyl_reflect, word_weight
 from symplectic_kf.cyclage import charge
 from symplectic_kf.kostant import kostka_def
 from symplectic_kf.recurrences import kostka_morris, pieri
 from symplectic_kf.tableaux import (
-    SearchBudgetExceeded,
     _weight_boxes,
     admissible_columns,
     admissible_split,
@@ -34,7 +32,6 @@ from symplectic_kf.tableaux import (
     minimal_rank,
     outside_corners,
     parse_tableau,
-    plactic_equivalent,
     reading,
     reverse_insert,
     tableau_weight,
@@ -307,6 +304,85 @@ def test_contract_column_rejects_admissible():
         contract_column((-1, 1), 2)
 
 
+# ------------------------------------------------------------ plactic closure
+# The length-preserving relations of the congruence, searched both ways, as
+# the reference that insertion respects it.  A search that runs out of budget
+# is indeterminate, so it raises instead of answering False.
+
+
+class SearchBudgetExceeded(RuntimeError):
+    """A bounded word-rewriting search ran out of budget (indeterminate)."""
+
+
+def plactic_rewrites(w, n):
+    """Words one elementary relation of Lecouvey's type-C congruence (J. Algebra
+    247, 2002) away, staying inside the rank-n alphabet."""
+    out = set()
+    for p in range(len(w) - 2):
+        a, b, x = w[p], w[p + 1], w[p + 2]
+        head, tail = w[:p], w[p + 3 :]
+        if a < x <= b and b != -a:
+            out.add(head + (b, a, x) + tail)
+        if b < x <= a and a != -b:  # inverse of relation 1
+            out.add(head + (b, a, x) + tail)
+        if x <= a < b and b != -x:
+            out.add(head + (a, x, b) + tail)
+        if b <= a < x and x != -b:  # inverse of relation 2
+            out.add(head + (a, x, b) + tail)
+        if 0 < b < n and a == -b and -b <= x <= b:
+            out.add(head + (b + 1, -(b + 1), x) + tail)
+        if a >= 2 and b == -a and -(a - 1) <= x <= a - 1:  # inverse of relation 3
+            out.add(head + (-(a - 1), a - 1, x) + tail)
+        if b > 0 and x == -b and -b < a < b:
+            out.add(head + (a, -(b - 1), b - 1) + tail)
+        if 1 <= x < n and b == -x and -(x + 1) < a < x + 1:  # inverse of relation 4
+            out.add(head + (a, x + 1, -(x + 1)) + tail)
+    return out
+
+
+def plactic_equivalent(w1, w2, n, budget=20000):
+    """Bounded bidirectional closure under the length-preserving relations.
+
+    Raises SearchBudgetExceeded when the search explores more than ``budget``
+    words without deciding; that outcome is indeterminate, not False.
+    """
+    if len(w1) != len(w2):
+        raise ValueError("the contraction-free congruence preserves length")
+    if w1 == w2:
+        return True
+    if word_weight(w1, n) != word_weight(w2, n):
+        return False
+    seen1, seen2 = {w1}, {w2}
+    frontier1, frontier2 = {w1}, {w2}
+    explored = 0
+    while frontier1 or frontier2:
+        # expand the smaller frontier
+        if frontier1 and (not frontier2 or len(frontier1) <= len(frontier2)):
+            frontier, seen, other = frontier1, seen1, seen2
+            which = 1
+        else:
+            frontier, seen, other = frontier2, seen2, seen1
+            which = 2
+        nxt = set()
+        for w in frontier:
+            for v in plactic_rewrites(w, n):
+                if v in other:
+                    return True
+                if v not in seen:
+                    seen.add(v)
+                    nxt.add(v)
+                    explored += 1
+                    if explored > budget:
+                        raise SearchBudgetExceeded(
+                            f"plactic search exceeded {budget} states"
+                        )
+        if which == 1:
+            frontier1 = nxt
+        else:
+            frontier2 = nxt
+    return False
+
+
 def test_plactic_fixtures():
     w = (-2, 1, 2, -1)
     assert plactic_equivalent(w, w, 3, budget=10)
@@ -322,8 +398,6 @@ def test_plactic_budget_is_distinct_outcome():
 
 
 def test_plactic_equivalence_implies_same_insertion_tableau():
-    from symplectic_kf.tableaux import _rewrites
-
     rng = random.Random(13)
     n = 3
     letters = [v for v in range(-n, n + 1) if v]
@@ -332,7 +406,7 @@ def test_plactic_equivalence_implies_same_insertion_tableau():
         w = tuple(rng.choice(letters) for _ in range(5))
         v = w
         for _ in range(rng.randint(1, 4)):
-            nbrs = sorted(_rewrites(v, n))
+            nbrs = sorted(plactic_rewrites(v, n))
             if not nbrs:
                 break
             v = rng.choice(nbrs)
@@ -457,7 +531,6 @@ def fill_package_caches():
         kostka_morris((4, 2, 0), (2, 0, 0), 3),
         minimal_rank(T("-1,1;2")),
         charge(T("-3;-2;-1;1"), 3),
-        list(weyl_group(2)),
     )
 
 
@@ -468,8 +541,8 @@ def test_clear_caches_rebuilds_column_tables():
     # not reach, fails here; so does a module-level dict left full, since
     # every such dict is a memo
     caches = package_caches()
-    assert len(caches) >= 8
-    assert {"algebra._group", "tableaux._weight_boxes", "kostant._pair_steps"} <= {
+    assert len(caches) >= 7
+    assert {"tableaux._weight_boxes", "kostant._pair_steps"} <= {
         name for name, _ in caches
     }
     dicts = package_dicts()
