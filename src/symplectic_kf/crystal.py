@@ -39,8 +39,10 @@ def _signed_positions(w: Word, i: int) -> tuple[list[int], list[int]]:
 
     Color i >= 1 encodes (i+1)bar and i as '+', ibar and i+1 as '-'; color 0
     encodes 1bar as '+' and 1 as '-' (each letter carries at most one 0-arrow).
-    A single stack pass cancels the +- factors.
+    A single stack pass cancels the +- factors.  A negative color is an error.
     """
+    if i < 0:
+        raise ValueError(f"color must be at least 0, got {i}")
     if i == 0:
         plus, minus = (-1,), (1,)
     else:

@@ -65,11 +65,13 @@ def is_authorized(tab: Tableau) -> bool:
     """True unless some letter occupies every column with its conjugate absent."""
     if len(tab) <= 1:
         raise ValueError("no cocyclage on columns")
-    common = set(tab[0])
-    for col in tab[1:]:
-        common &= set(col)
-    if not common:
-        return True
+    # the last column is the shortest, and the set of letters common to every
+    # column is usually empty after a column or two
+    common = set(tab[-1])
+    for col in tab[-2::-1]:
+        common.intersection_update(col)
+        if not common:
+            return True
     present = {x for col in tab for x in col}
     return all(-y in present for y in common)
 
@@ -138,8 +140,9 @@ def reduce(tab: Tableau, n: int) -> tuple[Tableau, int]:
     Requires the weight of ``tab`` to be dominant of rank at most n.  Returns
     the stabilized tableau together with the rank its weight still occupies
     (0 once the weight vanishes).  An already-authorized tableau is returned
-    unchanged.
+    unchanged.  Raises ValueError unless ``tab`` is symplectic at some rank.
     """
+    minimal_rank(tab)
     _check_chain_start(tab, n)
     for tab in _reductions(tab):
         pass
@@ -188,8 +191,10 @@ def charge_chain(tab: Tableau, n: int) -> ChargeChain:
     This is the reference trace: it walks every step and keeps no memo, and
     ``charge`` is tested against it.  The theory guarantees termination
     without repetition; a repeat raises ChainRepetitionError since it can only
-    come from an implementation bug.
+    come from an implementation bug.  Raises ValueError unless ``tab`` is
+    symplectic at some rank.
     """
+    minimal_rank(tab)
     _check_chain_start(tab, n)
     seen = {tab}
     steps: list[tuple[Tableau, str]] = []
@@ -223,8 +228,16 @@ def charge(tab: Tableau, n: int) -> int:
     whose entry holds the cocyclages left and the terminal column.  Only the
     new segment, the steps walked in this call, is checked for a repeated
     tableau.  That suffices: the step function is deterministic, and every
-    stored tail was checked when it was stored.
+    stored tail was checked when it was stored.  Raises ValueError unless
+    ``tab`` is symplectic at some rank.
     """
+    minimal_rank(tab)
+    return _charge(tab, n)
+
+
+def _charge(tab: Tableau, n: int) -> int:
+    """``charge`` of a tableau the caller knows to be symplectic, such as one
+    ``enumerate_tableaux`` listed: the symplectic check is skipped."""
     _check_chain_start(tab, n)
     p, term = _chain_tails.get(tab) or _walk_chain(tab)
     return charge_column(term, n) + p
@@ -274,8 +287,29 @@ def predecessors(tab: Tableau) -> list[Tableau]:
     column when x is smaller.  T* is a tableau, so only the changed column is
     tested, against its left neighbour with the rank-free splits.
     """
+    corners = outside_corners(tab)
+    if len(tab) > 1 and tab[0][-1] < tab[-1][0]:
+        # Skip the corners that cannot give a predecessor, before reverse
+        # inserting there.  The x from reverse insertion at any corner is at
+        # most tab[0][-1]: _reverse_bump_column starts the carried letter at
+        # the top of column 0, and each _reverse_two step keeps it, or
+        # replaces it by a letter d of the column, or by -(d+1) for a letter
+        # d >= 1, all at most the column's bottom letter (at corner 0, x is
+        # tab[0][-1] itself).  With k = len(tab), at a corner c < k-1, T*'s
+        # last column is tab[-1], and the column left of it has height
+        # len(tab[-2]) - (c == k-2).  When that height is at most
+        # len(tab[-1]), x on top would make the last column the taller, so
+        # the only shape left is T* + (x,), which needs x >= tab[-1][0],
+        # while x <= tab[0][-1] < tab[-1][0].
+        # With tab[-2] as tall as tab[-1] that rules out every corner but the
+        # last; with tab[-2] one box taller, corner k-2 alone.
+        room = len(tab[-2]) - len(tab[-1])
+        if room == 0:
+            corners = corners[-1:]
+        elif room == 1:
+            del corners[-2]
     out = []
-    for corner in outside_corners(tab):
+    for corner in corners:
         try:
             x, t_star = reverse_insert(tab, corner)
         except ValueError:
@@ -286,7 +320,11 @@ def predecessors(tab: Tableau) -> list[Tableau]:
         if x >= last[0]:
             # rC(last) starts with last[0], so (x,) always fits right of it
             s = t_star + ((x,),)
-        elif len(t_star) > 1 and fits_right_of(t_star[-2], (x,) + last):
+        elif (
+            len(t_star) > 1
+            and len(t_star[-2]) > len(last)
+            and fits_right_of(t_star[-2], (x,) + last)
+        ):
             s = t_star[:-1] + ((x,) + last,)
         else:
             continue
@@ -298,7 +336,8 @@ def predecessors(tab: Tableau) -> list[Tableau]:
 class CyclageGraph(namedtuple("CyclageGraph", "vertices edges")):
     """Connected component of the cocyclage graph; a tree rooted at its sink.
 
-    ``vertices`` are sorted by reading; ``edges`` are the (T, U(T)) pairs.
+    ``vertices`` are sorted by reading; ``edges`` are the (T, U(T)) pairs,
+    sorted as their first tableaux are.
     """
 
     __slots__ = ()
@@ -318,16 +357,18 @@ def component(tab: Tableau) -> CyclageGraph:
     Raises ValueError unless ``tab`` is symplectic at some rank.  Each edge is
     computed once: a vertex first met as a predecessor of t has the out-edge
     (s, t) already, so U is applied only to ``tab`` and to cocyclage images.
+    U is a function, so a vertex has at most one out-edge, and the edges are
+    listed from the out-edge map in vertex order.
     """
     minimal_rank(tab)
     verts = {tab}
-    edges: list[tuple[Tableau, Tableau]] = []
+    out_edge: dict[Tableau, Tableau] = {}
     queue = [(tab, True)]
     while queue:
         t, needs_out_edge = queue.pop()
         if needs_out_edge and len(t) > 1 and is_authorized(t):
             u = _pop_insert(t)
-            edges.append((t, u))
+            out_edge[t] = u
             if u not in verts:
                 verts.add(u)
                 queue.append((u, True))
@@ -335,9 +376,6 @@ def component(tab: Tableau) -> CyclageGraph:
             if s not in verts:
                 verts.add(s)
                 queue.append((s, False))
-                edges.append((s, t))
-    readings = {v: reading(v) for v in verts}
-    ordered = tuple(sorted(verts, key=readings.__getitem__))
-    return CyclageGraph(
-        ordered, tuple(sorted(edges, key=lambda e: (readings[e[0]], readings[e[1]])))
-    )
+                out_edge[s] = t
+    ordered = tuple(sorted(verts, key=reading))
+    return CyclageGraph(ordered, tuple((v, out_edge[v]) for v in ordered if v in out_edge))

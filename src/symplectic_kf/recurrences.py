@@ -6,7 +6,7 @@ import functools
 from collections import namedtuple
 
 from .algebra import Weight, check_rank, is_dominant
-from .cyclage import charge
+from .cyclage import _charge
 from .kostant import kostka_def
 from .qpoly import QPolynomial
 from .tableaux import Tableau, enumerate_tableaux, format_tableau
@@ -195,11 +195,15 @@ def kostka_column_rec(p: int, n: int) -> QPolynomial:
 def _tableau_charges(
     lam: Weight, mu: Weight, n: int
 ) -> tuple[tuple[tuple[Tableau, int], ...], QPolynomial]:
-    """The tableaux of shape lam and weight mu with their charges, and sum q^charge."""
+    """The tableaux of shape lam and weight mu with their charges, and sum q^charge.
+
+    The tableaux are symplectic by construction, so their charges skip the
+    symplectic check that ``charge`` makes.
+    """
     listing = []
     out: dict[int, int] = {}
     for tab in enumerate_tableaux(lam, mu, n):
-        c = charge(tab, n)
+        c = _charge(tab, n)
         if c < 0:
             raise ValueError(
                 f"negative charge {c} for {format_tableau(tab)} at rank {n}"

@@ -98,9 +98,7 @@ def admissible_split(col: Column, n: int) -> tuple[Column, Column] | None:
 
 def column_leq(c1: Column, c2: Column) -> bool:
     """c1 <= c2: c1 at least as tall and the rows of c1 c2 weakly increase."""
-    if len(c1) < len(c2):
-        return False
-    return all(c1[j] <= c2[j] for j in range(len(c2)))
+    return len(c1) >= len(c2) and all(map(le, c1, c2))
 
 
 def is_symplectic(tab: Tableau, n: int) -> bool:
@@ -314,10 +312,13 @@ def outside_corners(tab: Tableau) -> list[int]:
     Heights weakly decrease, so ascending index order is bottom-row-first.
     """
     out = []
-    for j in range(len(tab)):
-        nxt = len(tab[j + 1]) if j + 1 < len(tab) else 0
-        if len(tab[j]) > nxt:
+    nxt = 0
+    for j in range(len(tab) - 1, -1, -1):
+        height = len(tab[j])
+        if height > nxt:
             out.append(j)
+        nxt = height
+    out.reverse()
     return out
 
 

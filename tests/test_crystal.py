@@ -61,6 +61,22 @@ def test_string_lengths_fixtures():
     assert all(string_lengths(w, i)[0] == 0 for i in range(3))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: crystal_raise((1,), -1),
+        lambda: crystal_lower((-1,), -1),
+        lambda: string_lengths((1, -1), -1),
+        lambda: weyl_reflect((1,), -2),
+    ],
+    ids=["crystal_raise", "crystal_lower", "string_lengths", "weyl_reflect"],
+)
+def test_negative_color_is_rejected(call):
+    # color -1 would read as the letter pair (0, -1) and write the letter 0
+    with pytest.raises(ValueError, match="color"):
+        call()
+
+
 def test_raise_lower_inverse():
     rng = random.Random(1)
     for _ in range(300):

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import symplectic_kf
 from make_kostka_golden import dominant_weights
@@ -328,6 +330,45 @@ for _lam, _mu in [
     DIFFERENTIAL_ROOTS += enumerate_tableaux(_lam, _mu, 4)
 
 
+@st.composite
+def insertion_tableaux(draw):
+    """P(w) for a word w over the rank-n alphabet, n <= 5."""
+    n = draw(st.integers(1, 5))
+    letters = [x for x in range(-n, n + 1) if x]
+    return insertion_tableau(tuple(draw(st.lists(st.sampled_from(letters), max_size=10))))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(insertion_tableaux())
+def test_reverse_insertion_gives_at_most_the_first_columns_bottom(tab):
+    # the bound predecessors skips corners by: no x from reverse insertion
+    # exceeds tab[0][-1], and at corner 0 x is tab[0][-1] itself
+    for corner in outside_corners(tab):
+        x, _ = reverse_insert(tab, corner)
+        assert x <= tab[0][-1], (format_tableau(tab), corner)
+        if corner == 0:
+            assert x == tab[0][-1]
+
+
+def test_component_skips_corners_that_cannot_give_a_predecessor(monkeypatch):
+    calls = itertools.count()
+    real = cyclage.reverse_insert
+
+    def counted(tab, corner):
+        next(calls)
+        return real(tab, corner)
+
+    monkeypatch.setattr(cyclage, "reverse_insert", counted)
+    corners = 0
+    seen = set()
+    for root in enumerate_tableaux((2, 2, 2, 2), (0, 0, 0, 0), 4):
+        if root not in seen:
+            g = component(root)
+            corners += sum(len(outside_corners(v)) for v in g.vertices)
+            seen.update(g.vertices)
+    assert 0 < next(calls) < corners
+
+
 def test_component_and_predecessors_match_reinsertion():
     seen = set()
     for root in DIFFERENTIAL_ROOTS:
@@ -405,6 +446,15 @@ def test_charge_reports_negative_for_letters_beyond_rank():
     tab = T("-4,-3;-3,4")
     assert charge(tab, 3) == -1
     assert charge(tab, 4) == 1
+
+
+@pytest.mark.parametrize("call", [charge, charge_chain, reduce])
+@pytest.mark.parametrize("tab", [((1,), (-1,)), ((1, -1),)], ids=["1;-1", "1,-1"])
+def test_chain_entries_reject_non_symplectic_tableaux(call, tab):
+    # neither is symplectic at any rank: -1 cannot stand right of 1, and a
+    # column increases strictly
+    with pytest.raises(ValueError, match="not a symplectic tableau"):
+        call(tab, 2)
 
 
 def test_chain_dataclass_invariants():
