@@ -1,4 +1,4 @@
-"""Weights of C_n: rho, dominance, the rank check and the Weyl group's action.
+"""Weights of C_n: rho, dominance, the rank and weight checks, the Weyl action.
 
 Weights are integer tuples in the order (b_nbar, ..., b_1bar).  A signed
 permutation is a tuple ``sigma`` of length n where ``sigma[i-1]`` is the
@@ -29,6 +29,15 @@ def check_rank(n: int) -> None:
     """Raise ValueError unless n is a rank, at least 1."""
     if n < 1:
         raise ValueError(f"rank must be at least 1, got {n}")
+
+
+def check_weight(w, n: int) -> Weight:
+    """tuple(w); raise ValueError unless n is a rank and w a dominant weight of it."""
+    check_rank(n)
+    w = tuple(w)
+    if len(w) != n or not is_dominant(w):
+        raise ValueError(f"{w} is not a dominant rank-{n} weight")
+    return w
 
 
 def act(sigma: SignedPermutation, beta: Weight) -> Weight:

@@ -7,7 +7,7 @@ import json
 import os
 import sys
 
-from .algebra import is_dominant
+from .algebra import check_weight
 from .cyclage import ChainRepetitionError, CyclageGraph, charge, component
 from .kostant import PositivityError, kostka_def
 from .qpoly import QPolynomial
@@ -31,16 +31,12 @@ JOBS_ENV_VAR = "KF_VERIFY_JOBS"
 _TYPED_ERRORS = (PositivityError, ChainRepetitionError)
 
 
-def _parse_partition(text: str, n: int | None = None) -> tuple[int, ...]:
+def _parse_partition(text: str, n: int) -> tuple[int, ...]:
     try:
         parts = tuple(int(tok) for tok in text.split(","))
     except ValueError:
         raise ValueError(f"cannot parse partition {text!r}")
-    if not is_dominant(parts):
-        raise ValueError(f"{text!r} is not weakly decreasing nonnegative")
-    if n is not None and len(parts) != n:
-        raise ValueError(f"partition {text!r} does not have {n} parts")
-    return parts
+    return check_weight(parts, n)
 
 
 def emit_dot(graph: CyclageGraph) -> str:

@@ -118,7 +118,5 @@ def weyl_reflect(w: Word, i: int) -> Word:
 
 def is_highest(w: Word, n: int) -> bool:
     """True iff every raising operator of color 0..n-1 annihilates w."""
-    for x in w:
-        if not 1 <= abs(x) <= n:
-            raise ValueError(f"letter {x} outside rank-{n} alphabet")
+    word_weight(w, n)  # raises for a letter outside the rank-n alphabet
     return all(crystal_raise(w, i) is None for i in range(n))

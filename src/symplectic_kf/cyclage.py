@@ -77,7 +77,9 @@ def is_authorized(tab: Tableau) -> bool:
 
 
 def cocycle(tab: Tableau) -> Tableau:
-    """U(T): pop the top box of the last column and insert its letter."""
+    """U(T): pop the top box of the last column and insert its letter; T must
+    be symplectic at some rank, with an authorized cocyclage."""
+    minimal_rank(tab)
     if not is_authorized(tab):
         raise ValueError(f"cocyclage not authorized for {format_tableau(tab)}")
     return _pop_insert(tab)
@@ -126,14 +128,6 @@ def _check_chain_start(tab: Tableau, n: int) -> None:
         raise ValueError(f"weight of {format_tableau(tab)} exceeds rank {n}")
 
 
-def _reductions(tab: Tableau):
-    """Yield each $-operation's result until the cocyclage is defined or a
-    weight-0 column (or the empty tableau) remains."""
-    while not (is_authorized(tab) if len(tab) > 1 else weight_support_rank(tab) == 0):
-        tab = _reduction_step(tab)
-        yield tab
-
-
 def reduce(tab: Tableau, n: int) -> tuple[Tableau, int]:
     """Apply $-operations until the cocyclage is defined or a weight-0 column.
 
@@ -144,8 +138,10 @@ def reduce(tab: Tableau, n: int) -> tuple[Tableau, int]:
     """
     minimal_rank(tab)
     _check_chain_start(tab, n)
-    for tab in _reductions(tab):
-        pass
+    for t, kind in _chain_steps(tab):
+        if kind == "cocyclage":
+            break
+        tab = t
     return tab, weight_support_rank(tab)
 
 
@@ -167,16 +163,16 @@ def _chain_steps(tab: Tableau):
     """Yield (result, "reduction" | "cocyclage") for each step of the chain
     from ``tab``, down to a weight-0 column or the empty tableau.
 
-    Each step depends on the tableau it starts from alone, never on the rank.
+    Each step depends on the tableau it starts from alone, never on the rank:
+    the cocyclage when it is authorized, the $-operation otherwise.
     """
-    cur = tab
-    while True:
-        for cur in _reductions(cur):
-            yield cur, "reduction"
-        if len(cur) <= 1:
-            return
-        cur = _pop_insert(cur)  # _reductions stopped at an authorized tableau
-        yield cur, "cocyclage"
+    while len(tab) > 1 or weight_support_rank(tab):
+        if len(tab) > 1 and is_authorized(tab):
+            tab = _pop_insert(tab)
+            yield tab, "cocyclage"
+        else:
+            tab = _reduction_step(tab)
+            yield tab, "reduction"
 
 
 def _revisited(tab: Tableau, t: Tableau) -> ChainRepetitionError:

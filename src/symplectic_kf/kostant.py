@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 from itertools import accumulate
 
-from .algebra import Weight, check_rank, is_dominant, rho
+from .algebra import Weight, check_weight, rho
 from .qpoly import QPolynomial
 
 # Entries the state memo may hold, all ranks together, before it is emptied
@@ -14,10 +14,6 @@ from .qpoly import QPolynomial
 # with tracemalloc), so the cap leaves room for a sweep and bounds the memo
 # near 150 MB.
 _MEMO_CAP = 200_000
-
-# What a beta outside the root cone counts to, the one state that cannot be
-# completed.  Shared, never stored in a memo, and never mutated.
-_NO_WAYS: dict[int, int] = {}
 
 
 class PositivityError(RuntimeError):
@@ -123,12 +119,6 @@ def _count(idx: int, remaining: Weight) -> dict[int, int]:
     return out
 
 
-def _kostant_counts(beta: Weight) -> dict[int, int]:
-    """q_kostant(beta) as exponent -> count, often a memo's own dict: read it,
-    never mutate it."""
-    return _count(0, beta) if in_positive_root_cone(beta) else _NO_WAYS
-
-
 def q_kostant(beta: Weight) -> QPolynomial:
     """Number of ways to write beta as a sum of exactly k positive roots, as q^k.
 
@@ -136,7 +126,8 @@ def q_kostant(beta: Weight) -> QPolynomial:
     and the closing 2e_p steps in leading-position order, with one memo
     shared by every beta of every rank.
     """
-    return QPolynomial(_kostant_counts(tuple(beta)))
+    beta = tuple(beta)
+    return QPolynomial(_count(0, beta) if in_positive_root_cone(beta) else None)
 
 
 def _weyl_terms(lam_rho: Weight, mu_rho: Weight):
@@ -183,19 +174,14 @@ def kostka_def(lam: Weight, mu: Weight) -> QPolynomial:
     a violation signals a bug, not a property of the inputs.
     """
     n = len(lam)
-    check_rank(n)
-    if len(mu) != n:
-        raise ValueError(f"rank mismatch: {n} vs {len(mu)}")
-    if not is_dominant(lam):
-        raise ValueError(f"{lam} is not dominant")
-    if not is_dominant(mu):
-        raise ValueError(f"{mu} is not dominant")
+    lam, mu = check_weight(lam, n), check_weight(mu, n)
     rhov = rho(n)
     lam_rho = tuple(a + b for a, b in zip(lam, rhov))
     mu_rho = tuple(a + b for a, b in zip(mu, rhov))
     total: dict[int, int] = {}
     for sign, beta in _weyl_terms(lam_rho, mu_rho):
-        for e, c in _kostant_counts(beta).items():
+        # beta is in the root cone; _count gives the memo's own dict: read only
+        for e, c in _count(0, beta).items():
             total[e] = total.get(e, 0) + sign * c
     result = QPolynomial(total)
     if not result.is_nonnegative():

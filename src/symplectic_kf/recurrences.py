@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 from collections import namedtuple
 
-from .algebra import Weight, check_rank, is_dominant
+from .algebra import Weight, check_weight
 from .cyclage import _charge
 from .kostant import kostka_def
 from .qpoly import QPolynomial
@@ -33,11 +33,7 @@ def pieri(gamma: Weight, r: int, n: int) -> dict[Weight, int]:
     lambda with lambda_ibar = gamma_ibar - k_i + k_ibar.  Memoised per
     (gamma, r, n); every call returns a fresh dict.
     """
-    check_rank(n)
-    gamma = tuple(gamma)
-    if len(gamma) != n or not is_dominant(gamma):
-        raise ValueError(f"{gamma} is not a dominant rank-{n} weight")
-    return dict(_pieri_terms(gamma, r, n))
+    return dict(_pieri_terms(check_weight(gamma, n), r, n))
 
 
 # the rank-lowering recurrence asks for the same few (gamma, r, n) again and again
@@ -101,12 +97,7 @@ def kostka_morris(nu: Weight, mu: Weight, n: int) -> QPolynomial:
     back to the definitional sum, so the result is always exact.  Every term,
     this one included, is memoised per (lam, mu, n) until ``clear_caches``.
     """
-    check_rank(n)
-    nu, mu = tuple(nu), tuple(mu)
-    if len(nu) != n or len(mu) != n:
-        raise ValueError("rank mismatch")
-    if not (is_dominant(nu) and is_dominant(mu)):
-        raise ValueError("arguments must be dominant")
+    nu, mu = check_weight(nu, n), check_weight(mu, n)
     if n > 1 and mu[0] < nu[1]:
         raise ValueError(f"hypothesis mu_nbar >= nu_(n-1)bar fails: {mu[0]} < {nu[1]}")
     terms = _kostka_terms(nu, mu, n)
@@ -152,9 +143,7 @@ def kostka_row(p: int, mu: Weight, n: int) -> QPolynomial:
     and total p; f(mu) = sum (n-i) mu_ibar and
     theta(L) = sum (2(n-i)+1)(k_ibar - mu_ibar).
     """
-    check_rank(n)
-    if len(mu) != n or not is_dominant(mu):
-        raise ValueError(f"{mu} is not a dominant rank-{n} weight")
+    mu = check_weight(mu, n)
     size = sum(mu)
     if p < size or (p - size) % 2:
         return QPolynomial.zero()

@@ -103,8 +103,10 @@ def column_leq(c1: Column, c2: Column) -> bool:
 
 def is_symplectic(tab: Tableau, n: int) -> bool:
     """All columns n-admissible and rC_i <= lC_{i+1} for consecutive columns."""
-    rank = _minimal_rank(tab)
-    return rank is not None and rank <= n
+    try:
+        return minimal_rank(tab) <= n
+    except ValueError:
+        return False
 
 
 def minimal_rank(tab: Tableau) -> int:
@@ -114,14 +116,6 @@ def minimal_rank(tab: Tableau) -> int:
     empty, holds 0 or does not strictly increase, or a column does not fit
     right of its left neighbour.
     """
-    rank = _minimal_rank(tab)
-    if rank is None:
-        raise ValueError(f"not a symplectic tableau: {format_tableau(tab)}")
-    return rank
-
-
-def _minimal_rank(tab: Tableau) -> int | None:
-    """minimal_rank, with None for a tableau that is symplectic at no rank."""
     for i, col in enumerate(tab):
         if (
             not col
@@ -129,7 +123,7 @@ def _minimal_rank(tab: Tableau) -> int | None:
             or any(map(ge, col, col[1:]))
             or (i and not fits_right_of(tab[i - 1], col))
         ):
-            return None
+            raise ValueError(f"not a symplectic tableau: {format_tableau(tab)}")
     return max((max(map(abs, free_split(col)[1])) for col in tab), default=1)
 
 

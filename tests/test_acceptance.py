@@ -4,9 +4,9 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines as they complete.
 """
 
-import itertools
 import time
 
+from make_kostka_golden import dominant_weights
 from symplectic_kf import cli, clear_caches
 from symplectic_kf.cyclage import (
     charge,
@@ -51,12 +51,6 @@ def _report(num, ok, detail=""):
 
 def _cold_caches():
     clear_caches()
-
-
-def dominant_vectors(n, size):
-    for v in itertools.product(range(size + 1), repeat=n):
-        if sum(v) <= size and all(v[i] >= v[i + 1] for i in range(n - 1)):
-            yield v
 
 
 def test_criterion_1_definitional_fixtures():
@@ -113,7 +107,7 @@ def test_criterion_4_row_formula():
     for n in (1, 2, 3):
         for p in range(6):
             lam = (p,) + (0,) * (n - 1)
-            for mu in dominant_vectors(n, p):
+            for mu in dominant_weights(n, p):
                 row = kostka_row(p, mu, n)
                 ref = kostka_def(lam, mu)
                 if row != ref:
@@ -127,15 +121,15 @@ def test_criterion_5_morris_corollary():
     all_ok = True
     checked = 0
     for n in (2, 3):
-        for nu in dominant_vectors(n, 6):
-            for mu in dominant_vectors(n, 6):
+        for nu in dominant_weights(n, 6):
+            for mu in dominant_weights(n, 6):
                 if mu[0] < nu[1]:
                     continue
                 if kostka_morris(nu, mu, n) != kostka_def(nu, mu):
                     all_ok = False
                 checked += 1
-    for nu in dominant_vectors(1, 6):
-        for mu in dominant_vectors(1, 6):
+    for nu in dominant_weights(1, 6):
+        for mu in dominant_weights(1, 6):
             if kostka_morris(nu, mu, 1) != kostka_def(nu, mu):
                 all_ok = False
             checked += 1
@@ -334,8 +328,8 @@ def test_criterion_9_property_suites():
     from symplectic_kf.tableaux import enumerate_tableaux
 
     for rank in (1, 2, 3):
-        for lam in dominant_vectors(rank, 6):
-            for mu in dominant_vectors(rank, 6):
+        for lam in dominant_weights(rank, 6):
+            for mu in dominant_weights(rank, 6):
                 count = len(enumerate_tableaux(lam, mu, rank))
                 if count != kostka_def(lam, mu)(1):
                     ok = False

@@ -176,6 +176,26 @@ def test_domain_errors_exit_one(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("kostka", "-n", "2", "--lambda", "2,0", "--mu", "0,0", "--bogus"),  # unknown flag
+        ("kostka", "-n", "2", "--lambda", "2,0"),  # --mu missing
+        ("kostka", "--method", "nope", "-n", "2", "--lambda", "2,0", "--mu", "0,0"),
+        (),  # no command
+    ],
+)
+def test_usage_errors_exit_one(argv, capsys):
+    assert run(*argv) == (1, "")
+    assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("kostka", "--help")])
+def test_help_exits_zero(argv, capsys):
+    assert run(*argv) == (0, "")
+    assert "usage:" in capsys.readouterr().out
+
+
 def test_typed_errors_exit_one(monkeypatch, capsys):
     def fail(lam, mu):
         raise PositivityError("negative coefficient")

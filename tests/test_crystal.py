@@ -188,6 +188,13 @@ def test_is_highest_fixtures():
     assert is_highest((-3, -3, -2, -1, 1), 3)
 
 
+@pytest.mark.parametrize("call", [word_weight, is_highest])
+@pytest.mark.parametrize("w", [(4,), (1, -4), (0,)])
+def test_letters_outside_the_alphabet_are_rejected(call, w):
+    with pytest.raises(ValueError, match="outside rank-3 alphabet"):
+        call(w, 3)
+
+
 def test_highest_weight_splits_across_concatenation():
     rng = random.Random(5)
     for _ in range(400):

@@ -88,6 +88,13 @@ def test_cocycle_fixtures():
         cocycle(T3)
 
 
+def test_cocycle_rejects_non_symplectic():
+    # the columns share no letter, so the cocyclage would be authorized, but 1
+    # cannot stand right of 2
+    with pytest.raises(ValueError, match="not a symplectic tableau"):
+        cocycle(((2,), (1,)))
+
+
 def test_cocycle_preserves_weight():
     for tab in (T1, T2, T("-3,2;-2"), T("-2,-1;1,2")):
         n = 5
@@ -108,6 +115,13 @@ def test_reduce_rejects_non_dominant():
     # letters -1,2,-1 give weight (-1, 2), which is not dominant
     with pytest.raises(ValueError):
         reduce(T("-1,2;-1"), 2)
+
+
+@pytest.mark.parametrize("call", [charge, charge_chain, reduce])
+def test_chain_start_rejects_weight_above_rank(call):
+    # the column (-3,) is symplectic at rank 3, and its weight needs rank 3
+    with pytest.raises(ValueError, match="exceeds rank 2"):
+        call(((-3,),), 2)
 
 
 def test_charge_chain_fixtures():

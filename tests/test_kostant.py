@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from make_kostka_golden import dominant_weights
 from symplectic_kf import cache_sizes, clear_caches, kostant
 from symplectic_kf.algebra import act, rho
 from symplectic_kf.kostant import (
@@ -192,17 +193,11 @@ def test_kostka_def_rejects_bad_input():
         kostka_def((2, 1), (1,))
 
 
-def dominant_vectors(n, size):
-    for v in itertools.product(range(size + 1), repeat=n):
-        if sum(v) <= size and all(v[i] >= v[i + 1] for i in range(n - 1)):
-            yield v
-
-
 def test_stability_under_rank_truncation():
     # equal first parts let the polynomial drop to the previous rank
     for n in (2, 3, 4):
-        for lam in dominant_vectors(n, 6):
-            for mu in dominant_vectors(n, 6):
+        for lam in dominant_weights(n, 6):
+            for mu in dominant_weights(n, 6):
                 if lam[0] != mu[0]:
                     continue
                 full = kostka_def(lam, mu)
@@ -211,8 +206,8 @@ def test_stability_under_rank_truncation():
 
 
 def test_kostka_def_coefficients_nonnegative():
-    for lam in dominant_vectors(3, 5):
-        for mu in dominant_vectors(3, 5):
+    for lam in dominant_weights(3, 5):
+        for mu in dominant_weights(3, 5):
             assert kostka_def(lam, mu).is_nonnegative()
 
 
@@ -232,8 +227,8 @@ def all_weyl_terms(lam, mu):
 
 @pytest.mark.parametrize("n,size", [(1, 6), (2, 5), (3, 4), (4, 3)])
 def test_pruned_weyl_terms_match_full_group(n, size):
-    for lam in dominant_vectors(n, size):
-        for mu in dominant_vectors(n, size):
+    for lam in dominant_weights(n, size):
+        for mu in dominant_weights(n, size):
             lam_rho, mu_rho, want = all_weyl_terms(lam, mu)
             assert sorted(_weyl_terms(lam_rho, mu_rho)) == want, (lam, mu)
 

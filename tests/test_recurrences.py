@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symplectic_kf import recurrences
+from make_kostka_golden import dominant_weights
+from symplectic_kf import cli, recurrences
 from symplectic_kf.algebra import is_dominant
 from symplectic_kf.crystal import is_highest, word_weight
 from symplectic_kf.cyclage import charge, charge_chain, reduce
@@ -20,12 +21,6 @@ from symplectic_kf.recurrences import (
     verify_fundamental_conjecture,
 )
 from symplectic_kf.tableaux import conjugate_heights, enumerate_tableaux, reading
-
-
-def dominant_vectors(n, size):
-    for v in itertools.product(range(size + 1), repeat=n):
-        if sum(v) <= size and all(v[i] >= v[i + 1] for i in range(n - 1)):
-            yield v
 
 
 def test_pieri_fixtures():
@@ -64,7 +59,7 @@ def pieri_brute_force(gamma, r, n):
 
 def test_pieri_matches_crystal_brute_force():
     for n in (1, 2):
-        for gamma in dominant_vectors(n, 3):
+        for gamma in dominant_weights(n, 3):
             for r in range(4):
                 assert pieri(gamma, r, n) == pieri_brute_force(gamma, r, n), (
                     gamma,
@@ -117,6 +112,39 @@ def test_pieri_rejects_non_dominant():
         pieri((1, 2), 1, 2)
 
 
+# every route that takes a weight checks it with algebra.check_weight: the
+# wrong length, an increasing weight, a negative last part, and rank 0
+BAD_WEIGHTS = [((1, 0, 0), 2), ((0, 1), 2), ((1, -1), 2), ((), 0)]
+BAD_WEIGHT_IDS = ["length", "increasing", "negative", "rank-0"]
+
+
+@pytest.mark.parametrize("bad, n", BAD_WEIGHTS, ids=BAD_WEIGHT_IDS)
+def test_routes_reject_bad_weights(bad, n):
+    zero = (0,) * n
+    match = r"is not a dominant rank-\d weight" if n else "rank must be at least 1"
+    for call in (
+        lambda: kostka_def(bad, zero),
+        lambda: kostka_def(zero, bad),
+        lambda: kostka_morris(bad, zero, n),
+        lambda: kostka_morris(zero, bad, n),
+        lambda: kostka_row(2, bad, n),
+        lambda: pieri(bad, 1, n),
+    ):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
+@pytest.mark.parametrize("method", ["def", "morris", "row", "charge"])
+@pytest.mark.parametrize("bad, n", BAD_WEIGHTS, ids=BAD_WEIGHT_IDS)
+def test_cli_kostka_rejects_bad_weights(bad, n, method, capsys):
+    bad_text = ",".join(map(str, bad)) or "0"
+    zero_text = ",".join(["0"] * max(n, 1))
+    for lam, mu in ((bad_text, zero_text), (zero_text, bad_text)):
+        argv = ["kostka", "--method", method, "-n", str(n), "--lambda", lam, "--mu", mu]
+        assert cli.run(argv) == (1, "")
+        assert "error:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -160,8 +188,8 @@ def test_morris_fixtures():
 
 def test_morris_equals_definitional():
     for n in (2, 3):
-        for nu in dominant_vectors(n, 5):
-            for mu in dominant_vectors(n, 5):
+        for nu in dominant_weights(n, 5):
+            for mu in dominant_weights(n, 5):
                 if mu[0] < nu[1] or nu[0] < mu[0]:
                     continue
                 assert kostka_morris(nu, mu, n) == kostka_def(nu, mu), (nu, mu)
@@ -210,7 +238,7 @@ def test_morris_specializes_to_row_formula():
     for n in (2, 3):
         for p in range(5):
             nu = (p,) + (0,) * (n - 1)
-            for mu in dominant_vectors(n, p):
+            for mu in dominant_weights(n, p):
                 if mu[0] < nu[1]:
                     continue
                 assert kostka_morris(nu, mu, n) == kostka_row(p, mu, n), (p, mu, n)
@@ -245,7 +273,7 @@ def test_row_equals_definitional():
     for n in (1, 2, 3):
         for p in range(6):
             lam = (p,) + (0,) * (n - 1)
-            for mu in dominant_vectors(n, p):
+            for mu in dominant_weights(n, p):
                 assert kostka_row(p, mu, n) == kostka_def(lam, mu), (p, mu, n)
 
 
@@ -253,7 +281,7 @@ def test_row_counts_fiber():
     # value at q=1 counts the letter-count tuples of the row crystal fiber
     for n in (1, 2, 3):
         for p in range(5):
-            for mu in dominant_vectors(n, p):
+            for mu in dominant_weights(n, p):
                 count = kostka_row(p, mu, n)(1)
                 brute = 0
                 for kbar in itertools.product(range(p + 1), repeat=n):

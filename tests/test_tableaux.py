@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symplectic_kf
+from make_kostka_golden import dominant_weights
 from symplectic_kf import cache_sizes, clear_caches
 from symplectic_kf.crystal import crystal_lower, crystal_raise, weyl_reflect, word_weight
 from symplectic_kf.cyclage import charge
@@ -462,15 +463,9 @@ def test_enumerate_is_sorted_and_symplectic():
         assert tableau_weight(tab, 3) == (0, 0, 0)
 
 
-def dominant_vectors(n, size):
-    for v in itertools.product(range(size + 1), repeat=n):
-        if sum(v) <= size and all(v[i] >= v[i + 1] for i in range(n - 1)):
-            yield v
-
-
 def check_counts_match_weight_multiplicities(n, size):
-    for lam in dominant_vectors(n, size):
-        for mu in dominant_vectors(n, size):
+    for lam in dominant_weights(n, size):
+        for mu in dominant_weights(n, size):
             count = len(enumerate_tableaux(lam, mu, n))
             assert count == kostka_def(lam, mu)(1), (lam, mu)
 
@@ -622,11 +617,11 @@ def test_enumeration_matches_reference(n):
     # the same tableaux in the same order, for every dominant weight, zero or
     # not, and every weight of the reference listing, dominant or not
     size = 6 if n <= 3 else 5
-    for lam in dominant_vectors(n, size):
+    for lam in dominant_weights(n, size):
         by_weight = {}
         for tab in reference_tableaux(lam, n):
             by_weight.setdefault(tableau_weight(tab, n), []).append(tab)
-        for mu in set(dominant_vectors(n, size)) | set(by_weight):
+        for mu in set(dominant_weights(n, size)) | set(by_weight):
             expected = sorted(by_weight.get(mu, []), key=reading)
             assert enumerate_tableaux(lam, mu, n) == expected, (lam, mu)
 
@@ -639,7 +634,7 @@ def test_weight_boxes_are_exact(n, boxes):
     # where no tableau starts with it: a looser box would still enumerate
     # correctly, so only this test sees it.  The shapes run over every
     # sequence of column heights with at most ``boxes`` boxes.
-    for lam in dominant_vectors(n, boxes):
+    for lam in dominant_weights(n, boxes):
         heights = tuple(conjugate_heights(lam))
         if not heights:
             continue
