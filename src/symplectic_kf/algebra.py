@@ -1,4 +1,5 @@
-"""Weights of C_n: rho, dominance, the rank and weight checks, the Weyl action.
+"""Weights of C_n: rho, dominance, the root cone, the rank and weight checks,
+the Weyl action.
 
 Weights are integer tuples in the order (b_nbar, ..., b_1bar).  A signed
 permutation is a tuple ``sigma`` of length n where ``sigma[i-1]`` is the
@@ -23,6 +24,20 @@ def is_dominant(beta: Weight) -> bool:
     return all(beta[i] >= beta[i + 1] for i in range(len(beta) - 1)) and (
         not beta or beta[-1] >= 0
     )
+
+
+def in_positive_root_cone(beta: Weight) -> bool:
+    """Membership in the monoid spanned by positive roots.
+
+    Equivalent to: every prefix sum of the coordinates is nonnegative and the
+    total sum is even (the simple-root coefficients solved in closed form).
+    """
+    s = 0
+    for b in beta:
+        s += b
+        if s < 0:
+            return False
+    return s % 2 == 0
 
 
 def check_rank(n: int) -> None:

@@ -228,13 +228,15 @@ def charge(tab: Tableau, n: int) -> int:
     ``tab`` is symplectic at some rank.
     """
     minimal_rank(tab)
+    _check_chain_start(tab, n)
     return _charge(tab, n)
 
 
 def _charge(tab: Tableau, n: int) -> int:
-    """``charge`` of a tableau the caller knows to be symplectic, such as one
-    ``enumerate_tableaux`` listed: the symplectic check is skipped."""
-    _check_chain_start(tab, n)
+    """``charge`` of a tableau the caller has checked, such as one that
+    ``enumerate_tableaux`` listed: symplectic by construction, and of the
+    weight the caller checked once for the whole listing.  Neither the
+    symplectic check nor the weight check is made."""
     p, term = _chain_tails.get(tab) or _walk_chain(tab)
     return charge_column(term, n) + p
 

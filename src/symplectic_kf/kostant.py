@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 from itertools import accumulate
 
-from .algebra import Weight, check_weight, rho
+from .algebra import Weight, check_weight, in_positive_root_cone, rho
 from .qpoly import QPolynomial
 
 # Entries the state memo may hold, all ranks together, before it is emptied
@@ -37,20 +37,6 @@ def positive_roots(n: int) -> list[Weight]:
         r3[n - i] = 2
         roots.append(tuple(r3))
     return roots
-
-
-def in_positive_root_cone(beta: Weight) -> bool:
-    """Membership in the monoid spanned by positive roots.
-
-    Equivalent to: every prefix sum of the coordinates is nonnegative and the
-    total sum is even (the simple-root coefficients solved in closed form).
-    """
-    s = 0
-    for b in beta:
-        s += b
-        if s < 0:
-            return False
-    return s % 2 == 0
 
 
 @functools.cache
@@ -170,11 +156,21 @@ def kostka_def(lam: Weight, mu: Weight) -> QPolynomial:
 
     Both arguments must be dominant weights of the same rank, at least 1.
     Only the Weyl terms whose beta lies in the positive root cone are visited;
-    the rest are zero.  The result is checked for nonnegative coefficients;
+    the rest are zero, and when lam - mu is outside the cone so is every beta,
+    so no term is visited.  The result is checked for nonnegative coefficients;
     a violation signals a bug, not a property of the inputs.
     """
     n = len(lam)
     lam, mu = check_weight(lam, n), check_weight(mu, n)
+    # Every term is zero unless lam - mu is in the root cone.  A term's beta,
+    # w(lam+rho) - (mu+rho), is (lam - mu) - ((lam+rho) - w(lam+rho)), and the
+    # second part is in the cone: its k-th prefix sum is the k largest entries
+    # of lam+rho (all positive) less k distinct ones of them, each with a
+    # sign, so it is nonnegative, and its total is twice the sum of the
+    # entries w negates, so even.  The cone is closed under sums, so a beta
+    # in the cone puts lam - mu = beta + ((lam+rho) - w(lam+rho)) in it too.
+    if not in_positive_root_cone(tuple(a - b for a, b in zip(lam, mu))):
+        return QPolynomial.zero()
     rhov = rho(n)
     lam_rho = tuple(a + b for a, b in zip(lam, rhov))
     mu_rho = tuple(a + b for a, b in zip(mu, rhov))

@@ -6,7 +6,7 @@ import functools
 from collections import namedtuple
 
 from .algebra import Weight, check_weight
-from .cyclage import _charge
+from .cyclage import _charge, _check_chain_start
 from .kostant import kostka_def
 from .qpoly import QPolynomial
 from .tableaux import Tableau, enumerate_tableaux, format_tableau
@@ -187,11 +187,15 @@ def _tableau_charges(
     """The tableaux of shape lam and weight mu with their charges, and sum q^charge.
 
     The tableaux are symplectic by construction, so their charges skip the
-    symplectic check that ``charge`` makes.
+    symplectic check that ``charge`` makes, and all have the weight mu, so
+    the weight check is made on the first one only.
     """
     listing = []
     out: dict[int, int] = {}
-    for tab in enumerate_tableaux(lam, mu, n):
+    tabs = enumerate_tableaux(lam, mu, n)
+    if tabs:
+        _check_chain_start(tabs[0], n)
+    for tab in tabs:
         c = _charge(tab, n)
         if c < 0:
             raise ValueError(

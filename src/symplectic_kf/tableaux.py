@@ -15,7 +15,7 @@ import itertools
 from collections import namedtuple
 from operator import add, ge, le, neg, sub
 
-from .algebra import Weight, check_rank, is_dominant
+from .algebra import Weight, check_rank, in_positive_root_cone, is_dominant
 from .crystal import Word, word_weight
 
 Column = tuple[int, ...]
@@ -378,14 +378,16 @@ def enumerate_tableaux(lam, mu: Weight, n: int) -> list[Tableau]:
     heights = conjugate_heights(lam)
     if not heights:
         return [()] if not any(mu) else []
-    size = sum(heights)
-    if (size - sum(mu)) % 2 or sum(map(abs, mu)) > size:
-        # a letter moves one weight entry by +-1, so the entries of a weight
-        # sum to the box count mod 2 and their absolute values to at most the
-        # box count.  The parity holds at every node of the walk if it holds
-        # at the root, so one test cuts every branch; the L1 bound, which the
-        # walk tests again at each node, is tested here before any table is
-        # built
+    # a tableau's weight is a weight of the crystal B(lam), so the dominant
+    # weight in its Weyl orbit, mu+ = |mu| sorted in decreasing order, has
+    # lam - mu+ in the root cone.  The test holds both cuts that counting
+    # letters gives, as each letter moves one weight entry by +-1: its even
+    # total says sum(mu) = box count mod 2, and its last prefix sum says
+    # sum |mu| <= box count, which the walk tests again at each node
+    mu_plus = sorted(map(abs, mu), reverse=True)
+    if not in_positive_root_cone(
+        tuple(a - b for a, b in itertools.zip_longest(lam, mu_plus, fillvalue=0))
+    ):
         return []
     tables = [_column_table(n, h) for h in heights]
     succ = [_successors(n, h1, h2) for h1, h2 in zip(heights, heights[1:])]

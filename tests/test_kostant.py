@@ -233,6 +233,24 @@ def test_pruned_weyl_terms_match_full_group(n, size):
             assert sorted(_weyl_terms(lam_rho, mu_rho)) == want, (lam, mu)
 
 
+def test_weyl_sum_is_empty_outside_the_cone():
+    # kostka_def answers a pair with lam - mu outside the root cone 0 before
+    # any search; the search it skips must find no term for any such pair
+    outside = 0
+    for n, size in [(1, 8), (2, 8), (3, 6), (4, 6), (5, 4)]:
+        rhov = rho(n)
+        weights = dominant_weights(n, size)
+        for lam in weights:
+            for mu in weights:
+                if in_positive_root_cone(tuple(a - b for a, b in zip(lam, mu))):
+                    continue
+                outside += 1
+                lam_rho = tuple(a + b for a, b in zip(lam, rhov))
+                mu_rho = tuple(a + b for a, b in zip(mu, rhov))
+                assert next(_weyl_terms(lam_rho, mu_rho), None) is None, (lam, mu)
+    assert outside == 1528
+
+
 # K_{(2,2,2,2,2,0),0}, computed once by the loop over all 46080 signed
 # permutations with a fresh q-Kostant DP per beta (about 3 minutes)
 GOLDEN_222220 = {

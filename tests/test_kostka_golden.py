@@ -6,10 +6,14 @@ the file was made; ``make_kostka_golden.py`` remakes it.  A pair of those
 weights that is not in the table has K_{lam,mu} = 0.
 """
 
+import importlib
 import pathlib
 import sys
 
+import pytest
+
 from symplectic_kf import charge_kostka, kostka_def
+from symplectic_kf.algebra import in_positive_root_cone
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
@@ -57,3 +61,30 @@ def test_charge_kostka_matches_golden_table():
     for n, lam, mu in all_pairs(range(1, MAX_RANK + 1)):
         want = GOLDEN_TABLE.get((n, lam, mu), {})
         assert charge_kostka(lam, mu, n).coefficients() == want, (lam, mu)
+
+
+@pytest.fixture
+def kfbench_checks(monkeypatch):
+    # the benchmark's own output checks, read only: no bytecode is written
+    # next to them
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parent.parent / "kfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    return importlib.import_module("checks")
+
+
+def test_in_cone_pairs_are_monic_of_the_expected_degree(kfbench_checks):
+    # the converse of the oracle's cone cut: with lam - mu in the cone,
+    # K_{lam,mu} is monic of degree <lam - mu, rho^vee>, so nonzero; on the
+    # golden table and on the benchmark's 144 rank-5 pairs
+    rank5 = dominant_weights(5, 4)
+    pairs = list(all_pairs(range(1, MAX_RANK + 1)))
+    pairs += [(5, lam, mu) for lam in rank5 for mu in rank5]
+    inside = 0
+    for n, lam, mu in pairs:
+        if not in_positive_root_cone(tuple(a - b for a, b in zip(lam, mu))):
+            continue
+        inside += 1
+        coeffs = kostka_def(lam, mu).coefficients()
+        degree = kfbench_checks.expected_degree(lam, mu)
+        assert max(coeffs, default=None) == degree and coeffs[degree] == 1, (lam, mu)
+    assert inside == len(GOLDEN_TABLE) + 45
