@@ -10,10 +10,27 @@ from .qpoly import QPolynomial
 
 # Entries the state memo may hold, all ranks together, before it is emptied
 # wholesale.  At rank 6 one Weyl sum such as K_{(2,2,2,2,2,0),0} fills about
-# 24k entries of about 750 bytes each (key, value dict and memo slot, read
-# with tracemalloc), so the cap leaves room for a sweep and bounds the memo
-# near 150 MB.
+# 24k entries of about 430 bytes each (key, packed value pair and memo slot,
+# read with tracemalloc), so the cap leaves room for a sweep and bounds the
+# memo near 85 MB.
 _MEMO_CAP = 200_000
+
+# Bits per coefficient slot of a packed q-polynomial.  Inside the DP, the
+# Weyl sum and the Morris recurrence a polynomial sum_e c_e q^e is the one
+# int sum_e c_e 2^(_W e), its value at q = 2^_W (Kronecker substitution), so
+# a sum of polynomials is a sum of ints and a product by q^s is a shift by
+# _W s bits.  That arithmetic is exact: evaluation at 2^_W is a ring
+# homomorphism.  Only reading the coefficients back can go wrong, when one
+# of them does not fit its slot, so _unpack checks a bound first:
+# - nonnegative coefficients with value c at q = 1 are each at most c, and
+#   decode exactly when c < 2^_W (the DP and the recurrence);
+# - a signed sum of such polynomials has every |coefficient| at most the sum
+#   of their values at q = 1, and decodes exactly as balanced digits in
+#   [-2^(_W-1), 2^(_W-1)) when that sum is below 2^(_W-1) (the Weyl sum).
+# Past the bound _unpack raises OverflowError instead.  Over every pair of
+# n = 8, max weight 4 the largest DP coefficient is 20 bits, the largest DP
+# value at q = 1 is 22 bits and the largest Weyl-sum bound is 27 bits.
+_W = 64
 
 
 class PositivityError(RuntimeError):
@@ -45,17 +62,45 @@ def _pair_steps(n: int) -> tuple[tuple[int, int, bool], ...]:
     return tuple((p, j, j == n - 1) for p in range(n) for j in range(p + 1, n))
 
 
+def _unpack(packed: int, bound: int, signed: bool, name: str, *inputs) -> dict[int, int]:
+    """The coefficients of a packed q-polynomial, as exponent -> coefficient.
+
+    ``bound`` is the q = 1 value of a nonnegative polynomial, or, if
+    ``signed``, the bound on every |coefficient| of a signed one; past what
+    the slots hold exactly, raise OverflowError naming ``name(*inputs)``.
+    """
+    top = 1 << _W
+    half = top >> 1 if signed else top
+    if bound >= half:
+        called = f"{name}({','.join(map(str, inputs))})"
+        raise OverflowError(f"{called}: coefficients up to {bound} overflow {_W}-bit slots")
+    mask = top - 1
+    out = {}
+    e = 0
+    while packed:
+        c = packed & mask
+        packed >>= _W
+        if c >= half:
+            # a negative digit: the slot above lent it 2^_W
+            c -= top
+            packed += 1
+        if c:
+            out[e] = c
+        e += 1
+    return out
+
+
 # The state memo of every rank, (idx, remaining) -> _count's value.  A key's
 # rank is len(remaining), so one memo serves every rank and _MEMO_CAP bounds
 # all ranks together.
-_memo: dict[tuple[int, Weight], dict[int, int]] = {}
+_memo: dict[tuple[int, Weight], tuple[int, int]] = {}
 
 
-def _count(idx: int, remaining: Weight) -> dict[int, int]:
+def _count(idx: int, remaining: Weight) -> tuple[int, int]:
     """The ways to write ``remaining`` as a sum of the pair roots of
     ``steps[idx:]``, their 2e_p and the roots of the later leading positions,
-    as exponent -> count with one q per root used; ``steps`` is
-    ``_pair_steps(len(remaining))``.
+    with one q per root used, as (packed polynomial, number of ways); ``steps``
+    is ``_pair_steps(len(remaining))``.
 
     The positive roots with leading position p are e_p - e_j and e_p + e_j for
     j > p, and 2e_p.  The DP takes the pairs (p, j) in order, and the last pair
@@ -80,29 +125,31 @@ def _count(idx: int, remaining: Weight) -> dict[int, int]:
     if idx == len(steps):
         # only 2e_(n-1) is left: every coordinate but the last is zero,
         # and the cone makes the last one even
-        return {sum(remaining) // 2: 1}
+        return 1 << (_W * (sum(remaining) // 2)), 1
     p, j, closing = steps[idx]
     x = remaining[p]
     # R_j, and the least of R_j and every R_k after it
     r_j = sum(remaining[p + 1 : j + 1])
     r_min = min(accumulate(remaining[j + 1 :], initial=r_j))
     child = list(remaining)
-    out: dict[int, int] = {}
+    out = ways = 0
     # on the last pair of p, 2e_p takes the x - s left, (x - s) / 2 times,
     # so s has the parity of x and the weight is q^(s + (x - s) / 2)
     for s in range(x % 2, x + 1, 2) if closing else range(x + 1):
         child[p] = 0 if closing else x - s
-        shift = (x + s) // 2 if closing else s
+        acc = 0
         # d <= R_j keeps R_j >= 0 for when p is spent; d <= x - s + R_k
         # keeps the child's prefix sums after j nonnegative
         for d in range(-s, min(s, r_j, x - s + r_min) + 1, 2):
             child[j] = remaining[j] - d
-            for e, c in _count(idx + 1, tuple(child)).items():
-                out[e + shift] = out.get(e + shift, 0) + c
+            v, c = _count(idx + 1, tuple(child))
+            acc += v
+            ways += c
+        out += acc << (_W * ((x + s) // 2 if closing else s))
     if len(_memo) >= _MEMO_CAP:
         _memo.clear()
-    _memo[key] = out
-    return out
+    value = _memo[key] = (out, ways)
+    return value
 
 
 def q_kostant(beta: Weight) -> QPolynomial:
@@ -110,10 +157,13 @@ def q_kostant(beta: Weight) -> QPolynomial:
 
     Bounded dynamic programming over the pairs of roots e_p - e_j, e_p + e_j
     and the closing 2e_p steps in leading-position order, with one memo
-    shared by every beta of every rank.
+    shared by every beta of every rank.  Raises OverflowError if the number
+    of ways reaches 2^64, past what the DP's packed values read back exactly.
     """
     beta = tuple(beta)
-    return QPolynomial(_count(0, beta) if in_positive_root_cone(beta) else None)
+    if not in_positive_root_cone(beta):
+        return QPolynomial.zero()
+    return QPolynomial(_unpack(*_count(0, beta), False, "q_kostant", beta))
 
 
 def _weyl_terms(lam_rho: Weight, mu_rho: Weight):
@@ -158,7 +208,9 @@ def kostka_def(lam: Weight, mu: Weight) -> QPolynomial:
     Only the Weyl terms whose beta lies in the positive root cone are visited;
     the rest are zero, and when lam - mu is outside the cone so is every beta,
     so no term is visited.  The result is checked for nonnegative coefficients;
-    a violation signals a bug, not a property of the inputs.
+    a violation signals a bug, not a property of the inputs.  Raises
+    OverflowError if the terms' q-Kostant values together reach 2^63, past
+    what the packed sum reads back exactly.
     """
     n = len(lam)
     lam, mu = check_weight(lam, n), check_weight(mu, n)
@@ -174,12 +226,14 @@ def kostka_def(lam: Weight, mu: Weight) -> QPolynomial:
     rhov = rho(n)
     lam_rho = tuple(a + b for a, b in zip(lam, rhov))
     mu_rho = tuple(a + b for a, b in zip(mu, rhov))
-    total: dict[int, int] = {}
+    # each beta is in the root cone; bound sums the terms' values at q = 1,
+    # which bounds every |coefficient| of the signed sum
+    total = bound = 0
     for sign, beta in _weyl_terms(lam_rho, mu_rho):
-        # beta is in the root cone; _count gives the memo's own dict: read only
-        for e, c in _count(0, beta).items():
-            total[e] = total.get(e, 0) + sign * c
-    result = QPolynomial(total)
+        v, c = _count(0, beta)
+        total += sign * v
+        bound += c
+    result = QPolynomial(_unpack(total, bound, True, "K_", lam, mu))
     if not result.is_nonnegative():
         raise PositivityError(f"negative coefficient in K_({lam},{mu}): {result!r}")
     return result

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 from collections import namedtuple
 
+from . import kostant
 from .algebra import Weight, check_weight
 from .cyclage import _charge, _check_chain_start
 from .kostant import kostka_def
@@ -77,15 +78,11 @@ def _pieri_count(gamma: Weight, r: int, n: int) -> dict[Weight, int]:
     return out
 
 
-def _flat_terms(coeffs: dict[int, int]) -> tuple[int, ...]:
-    return tuple(x for e in sorted(coeffs) if coeffs[e] for x in (e, coeffs[e]))
-
-
-def _kostka_rank1(lam: Weight, mu: Weight) -> tuple[int, ...]:
+def _kostka_rank1(lam: Weight, mu: Weight) -> tuple[int, int]:
     l, m = lam[0], mu[0]
     if l >= m >= 0 and (l - m) % 2 == 0:
-        return ((l - m) // 2, 1)
-    return ()
+        return 1 << (kostant._W * ((l - m) // 2)), 1
+    return 0, 0
 
 
 def kostka_morris(nu: Weight, mu: Weight, n: int) -> QPolynomial:
@@ -96,44 +93,47 @@ def kostka_morris(nu: Weight, mu: Weight, n: int) -> QPolynomial:
     Lower-rank terms recurse while the hypothesis holds and otherwise fall
     back to the definitional sum, so the result is always exact.  Every term,
     this one included, is memoised per (lam, mu, n) until ``clear_caches``.
+    Raises OverflowError if K_{nu,mu}(1) reaches 2^64, past what the packed
+    terms read back exactly.
     """
     nu, mu = check_weight(nu, n), check_weight(mu, n)
     if n > 1 and mu[0] < nu[1]:
         raise ValueError(f"hypothesis mu_nbar >= nu_(n-1)bar fails: {mu[0]} < {nu[1]}")
-    terms = _kostka_terms(nu, mu, n)
-    return QPolynomial(dict(zip(terms[::2], terms[1::2])))
+    return QPolynomial(kostant._unpack(*_kostka_terms(nu, mu, n), False, "K_", nu, mu))
 
 
 @functools.cache
-def _kostka_terms(lam: Weight, mu: Weight, n: int) -> tuple[int, ...]:
+def _kostka_terms(lam: Weight, mu: Weight, n: int) -> tuple[int, int]:
     """K_{lam,mu} for dominant lam, mu of rank n, by the cheapest exact route.
 
-    The value is a flat tuple (e0, c0, e1, c1, ...) with ascending exponents,
-    () for zero; a tuple per pair would triple the memo's size.  The memo
-    holds every pair the recurrence reaches: rank 1 by the closed form, the
-    recurrence where its hypothesis holds, and kostka_def where it fails, so
-    kostka_morris checks the hypothesis before it calls this.
+    The value is (K packed as in ``kostant._W``, K(1)), (0, 0) for zero.  The
+    memo holds every pair the recurrence reaches: rank 1 by the closed form,
+    the recurrence where its hypothesis holds, and kostka_def where it fails,
+    so kostka_morris checks the hypothesis before it calls this.
     """
     if n == 1:
         return _kostka_rank1(lam, mu)
     if mu[0] >= lam[1]:
         return _morris_terms(lam, mu, n)
-    return _flat_terms(kostka_def(lam, mu).coefficients())
+    # kostka_def's value has been checked nonnegative
+    coeffs = kostka_def(lam, mu).coefficients()
+    return sum(c << (kostant._W * e) for e, c in coeffs.items()), sum(coeffs.values())
 
 
-def _morris_terms(nu: Weight, mu: Weight, n: int) -> tuple[int, ...]:
+def _morris_terms(nu: Weight, mu: Weight, n: int) -> tuple[int, int]:
     l = nu[0] - mu[0]
     if l < 0:
-        return ()
+        return 0, 0
     nu_p, mu_p = nu[1:], mu[1:]
-    total: dict[int, int] = {}
+    out = ways = 0
     for r in range(l % 2, l + 1, 2):
-        shift = r + (l - r) // 2
+        acc = 0
         for lam, mult in _pieri_terms(nu_p, r, n - 1):
-            terms = iter(_kostka_terms(lam, mu_p, n - 1))
-            for e, c in zip(terms, terms):
-                total[e + shift] = total.get(e + shift, 0) + mult * c
-    return _flat_terms(total)
+            v, c = _kostka_terms(lam, mu_p, n - 1)
+            acc += mult * v
+            ways += mult * c
+        out += acc << (kostant._W * (r + (l - r) // 2))
+    return out, ways
 
 
 def kostka_row(p: int, mu: Weight, n: int) -> QPolynomial:
@@ -207,8 +207,11 @@ def _tableau_charges(
 
 
 def charge_kostka(lam: Weight, mu: Weight, n: int) -> QPolynomial:
-    """Sum of q^charge over the symplectic tableaux of shape lam and weight mu."""
-    return _tableau_charges(lam, mu, n)[1]
+    """Sum of q^charge over the symplectic tableaux of shape lam and weight mu.
+
+    Both must be dominant rank-n weights, as for the other routes.
+    """
+    return _tableau_charges(check_weight(lam, n), check_weight(mu, n), n)[1]
 
 
 class VerificationReport(

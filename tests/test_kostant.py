@@ -7,6 +7,7 @@ from make_kostka_golden import dominant_weights
 from symplectic_kf import cache_sizes, clear_caches, kostant
 from symplectic_kf.algebra import act, rho
 from symplectic_kf.kostant import (
+    PositivityError,
     _weyl_terms,
     in_positive_root_cone,
     kostka_def,
@@ -107,7 +108,7 @@ def test_memo_holds_no_dead_states():
         q_kostant(beta)
     kostka_def((2, 2, 1, 1, 0), (0,) * 5)
     assert {len(remaining) for _, remaining in kostant._memo} == {4, 5}
-    assert all(kostant._memo.values())
+    assert all(count for _, count in kostant._memo.values())
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -285,3 +286,29 @@ def test_memo_cap_keeps_results(monkeypatch):
         assert kostka_def(lam, mu) == value
         assert 0 < len(kostant._memo) <= 50
     clear_caches()
+
+
+def test_unpack_reads_every_digit_up_to_the_bound():
+    # 64-bit slots: nonnegative digits up to 2^64 - 1, signed ones as balanced
+    # digits up to 2^63 - 1 either way, with borrows from the slot above
+    rng = random.Random(3)
+    for signed, top in ((False, 2**64 - 1), (True, 2**63 - 1)):
+        low = -top if signed else 0
+        for _ in range(400):
+            coeffs = {
+                e: rng.choice((low, top, rng.randint(low, top), 0))
+                for e in range(rng.randint(0, 12))
+            }
+            packed = sum(c << (64 * e) for e, c in coeffs.items())
+            want = {e: c for e, c in coeffs.items() if c}
+            assert kostant._unpack(packed, top, signed, "K_") == want, coeffs
+        with pytest.raises(OverflowError, match=r"^K_\(\(2, 1\),\(1, 1\)\): coefficients up to"):
+            kostant._unpack(0, top + 1, signed, "K_", (2, 1), (1, 1))
+
+
+def test_negative_weyl_sum_raises_positivity_error(monkeypatch):
+    # q - (q + q^2 + q^3) = -q^2 - q^3: the signed sum reads back negative
+    terms = [(1, (1, -1)), (-1, (2, 0))]
+    monkeypatch.setattr(kostant, "_weyl_terms", lambda lam_rho, mu_rho: iter(terms))
+    with pytest.raises(PositivityError, match=r"\{2: -1, 3: -1\}"):
+        kostka_def((2, 0), (0, 0))

@@ -12,8 +12,15 @@ import sys
 
 import pytest
 
-from symplectic_kf import charge_kostka, kostka_def
-from symplectic_kf.algebra import in_positive_root_cone
+from symplectic_kf import (
+    charge_kostka,
+    clear_caches,
+    kostant,
+    kostka_def,
+    kostka_morris,
+    q_kostant,
+)
+from symplectic_kf.algebra import in_positive_root_cone, rho
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
@@ -88,3 +95,59 @@ def test_in_cone_pairs_are_monic_of_the_expected_degree(kfbench_checks):
         degree = kfbench_checks.expected_degree(lam, mu)
         assert max(coeffs, default=None) == degree and coeffs[degree] == 1, (lam, mu)
     assert inside == len(GOLDEN_TABLE) + 45
+
+
+def test_narrow_slots_raise_instead_of_decoding_wrong(monkeypatch):
+    # With 6-bit slots a signed Weyl sum reads back only while its terms'
+    # q-Kostant values sum below 2^5, and a nonnegative polynomial only while
+    # its value at q = 1 is below 2^6.  The memos hold packed values, so they
+    # are emptied on both sides of the change of width.
+    bounds, kostant_values = {}, {}
+    for n, lam, mu in all_pairs(range(1, MAX_RANK + 1)):
+        lam_rho = tuple(a + b for a, b in zip(lam, rho(n)))
+        mu_rho = tuple(a + b for a, b in zip(mu, rho(n)))
+        bound = 0
+        for _, beta in kostant._weyl_terms(lam_rho, mu_rho):
+            kostant_values[beta] = q_kostant(beta)
+            bound += kostant_values[beta](1)
+        bounds[n, lam, mu] = bound
+    decoded = dict.fromkeys(("def", "morris", "q_kostant"), 0)
+    raised = dict.fromkeys(("def", "morris", "q_kostant"), 0)
+    clear_caches()
+    monkeypatch.setattr(kostant, "_W", 6)
+    try:
+        for (n, lam, mu), bound in bounds.items():
+            want = GOLDEN_TABLE.get((n, lam, mu), {})
+            if bound >= 2**5:
+                with pytest.raises(OverflowError, match="6-bit slots"):
+                    kostka_def(lam, mu)
+                raised["def"] += 1
+            else:
+                assert kostka_def(lam, mu).coefficients() == want, (lam, mu)
+                decoded["def"] += 1
+            if n == 1 or mu[0] < lam[1]:
+                continue
+            if sum(want.values()) >= 2**6:
+                with pytest.raises(OverflowError, match="6-bit slots"):
+                    kostka_morris(lam, mu, n)
+                raised["morris"] += 1
+                continue
+            # a lower-rank kostka_def term may overflow on its own
+            try:
+                got = kostka_morris(lam, mu, n)
+            except OverflowError:
+                continue
+            assert got.coefficients() == want, (lam, mu)
+            decoded["morris"] += 1
+        for beta, value in kostant_values.items():
+            if value(1) >= 2**6:
+                with pytest.raises(OverflowError, match="6-bit slots"):
+                    q_kostant(beta)
+                raised["q_kostant"] += 1
+            else:
+                assert q_kostant(beta) == value, beta
+                decoded["q_kostant"] += 1
+    finally:
+        clear_caches()
+    assert decoded == {"def": 4752, "morris": 4626, "q_kostant": 969}
+    assert raised == {"def": 444, "morris": 10, "q_kostant": 650}

@@ -129,9 +129,18 @@ def test_routes_reject_bad_weights(bad, n):
         lambda: kostka_morris(zero, bad, n),
         lambda: kostka_row(2, bad, n),
         lambda: pieri(bad, 1, n),
+        lambda: charge_kostka(bad, zero, n),
+        lambda: charge_kostka(zero, bad, n),
     ):
         with pytest.raises(ValueError, match=match):
             call()
+
+
+def test_charge_kostka_rejects_non_dominant_weight():
+    # both used to return a number: 1 and 0
+    for lam, mu in (((2, 0), (0, 2)), ((1, 0), (0, 3))):
+        with pytest.raises(ValueError, match=r"\(0, \d\) is not a dominant rank-2 weight"):
+            charge_kostka(lam, mu, 2)
 
 
 @pytest.mark.parametrize("method", ["def", "morris", "row", "charge"])
