@@ -11,6 +11,8 @@ whose term can be nonzero.
 
 from __future__ import annotations
 
+from operator import ge
+
 Weight = tuple[int, ...]
 SignedPermutation = tuple[int, ...]
 
@@ -21,9 +23,8 @@ def rho(n: int) -> Weight:
 
 
 def is_dominant(beta: Weight) -> bool:
-    return all(beta[i] >= beta[i + 1] for i in range(len(beta) - 1)) and (
-        not beta or beta[-1] >= 0
-    )
+    """Weakly decreasing with a nonnegative last entry (the empty tuple is dominant)."""
+    return not beta or (beta[-1] >= 0 and all(map(ge, beta, beta[1:])))
 
 
 def in_positive_root_cone(beta: Weight) -> bool:

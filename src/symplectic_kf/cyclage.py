@@ -303,6 +303,14 @@ def predecessors(tab: Tableau) -> list[Tableau]:
         # last; with tab[-2] one box taller, corner k-2 alone.
         room = len(tab[-2]) - len(tab[-1])
         if room == 0:
+            if len(tab[-1]) == 1 and (len(tab) == 2 or len(tab[-3]) == 1):
+                # The last corner fails too when tab[-2] and tab[-1] are one
+                # box each and tab[-3] is one box or absent: reverse-bumping
+                # tab[-1][0] into the one-box tab[-2] leaves T*'s last column
+                # (tab[-1][0],), so x <= tab[0][-1] rules out T* + (x,), and
+                # T*'s second-last column is one box or absent, so there is
+                # no room for x on top.
+                return []
             corners = corners[-1:]
         elif room == 1:
             del corners[-2]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 from itertools import accumulate
+from operator import add, sub
 
 from .algebra import Weight, check_weight, in_positive_root_cone, rho
 from .qpoly import QPolynomial
@@ -63,7 +64,8 @@ def _pair_steps(n: int) -> tuple[tuple[int, int, bool], ...]:
 
 
 def _unpack(packed: int, bound: int, signed: bool, name: str, *inputs) -> dict[int, int]:
-    """The coefficients of a packed q-polynomial, as exponent -> coefficient.
+    """The coefficients of a packed q-polynomial, as exponent -> coefficient,
+    in the stored form of ``QPolynomial``: ascending exponents, no zero.
 
     ``bound`` is the q = 1 value of a nonnegative polynomial, or, if
     ``signed``, the bound on every |coefficient| of a signed one; past what
@@ -163,7 +165,7 @@ def q_kostant(beta: Weight) -> QPolynomial:
     beta = tuple(beta)
     if not in_positive_root_cone(beta):
         return QPolynomial.zero()
-    return QPolynomial(_unpack(*_count(0, beta), False, "q_kostant", beta))
+    return QPolynomial._of(_unpack(*_count(0, beta), False, "q_kostant", beta))
 
 
 def _weyl_terms(lam_rho: Weight, mu_rho: Weight):
@@ -221,11 +223,11 @@ def kostka_def(lam: Weight, mu: Weight) -> QPolynomial:
     # sign, so it is nonnegative, and its total is twice the sum of the
     # entries w negates, so even.  The cone is closed under sums, so a beta
     # in the cone puts lam - mu = beta + ((lam+rho) - w(lam+rho)) in it too.
-    if not in_positive_root_cone(tuple(a - b for a, b in zip(lam, mu))):
+    if not in_positive_root_cone(tuple(map(sub, lam, mu))):
         return QPolynomial.zero()
     rhov = rho(n)
-    lam_rho = tuple(a + b for a, b in zip(lam, rhov))
-    mu_rho = tuple(a + b for a, b in zip(mu, rhov))
+    lam_rho = tuple(map(add, lam, rhov))
+    mu_rho = tuple(map(add, mu, rhov))
     # each beta is in the root cone; bound sums the terms' values at q = 1,
     # which bounds every |coefficient| of the signed sum
     total = bound = 0
@@ -233,7 +235,8 @@ def kostka_def(lam: Weight, mu: Weight) -> QPolynomial:
         v, c = _count(0, beta)
         total += sign * v
         bound += c
-    result = QPolynomial(_unpack(total, bound, True, "K_", lam, mu))
-    if not result.is_nonnegative():
+    coeffs = _unpack(total, bound, True, "K_", lam, mu)
+    result = QPolynomial._of(coeffs)
+    if min(coeffs.values(), default=0) < 0:
         raise PositivityError(f"negative coefficient in K_({lam},{mu}): {result!r}")
     return result

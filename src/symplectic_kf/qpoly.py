@@ -23,6 +23,17 @@ class QPolynomial:
         self._coeffs = clean
 
     @classmethod
+    def _of(cls, clean: dict) -> "QPolynomial":
+        """Wrap ``clean`` as it is, without copying or checking it.
+
+        Only for a dict already in stored form, built so by its caller: int
+        exponents >= 0 in ascending order, int coefficients, none of them zero.
+        """
+        p = object.__new__(cls)
+        p._coeffs = clean
+        return p
+
+    @classmethod
     def zero(cls) -> "QPolynomial":
         return cls()
 

@@ -99,7 +99,7 @@ def kostka_morris(nu: Weight, mu: Weight, n: int) -> QPolynomial:
     nu, mu = check_weight(nu, n), check_weight(mu, n)
     if n > 1 and mu[0] < nu[1]:
         raise ValueError(f"hypothesis mu_nbar >= nu_(n-1)bar fails: {mu[0]} < {nu[1]}")
-    return QPolynomial(kostant._unpack(*_kostka_terms(nu, mu, n), False, "K_", nu, mu))
+    return QPolynomial._of(kostant._unpack(*_kostka_terms(nu, mu, n), False, "K_", nu, mu))
 
 
 @functools.cache
@@ -203,7 +203,9 @@ def _tableau_charges(
             )
         listing.append((tab, c))
         out[c] = out.get(c, 0) + 1
-    return tuple(listing), QPolynomial(out)
+    # int charges, checked >= 0 above, each counted at least once: sorted by
+    # charge, the counts are in QPolynomial's stored form
+    return tuple(listing), QPolynomial._of(dict(sorted(out.items())))
 
 
 def charge_kostka(lam: Weight, mu: Weight, n: int) -> QPolynomial:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -100,3 +101,15 @@ def test_is_dominant():
     assert is_dominant(())
     assert not is_dominant((1, 2))
     assert not is_dominant((1, -1))
+
+
+def test_is_dominant_matches_its_definition():
+    # weakly decreasing, and a nonnegative last entry when there is one
+    def defined(beta):
+        return all(beta[i] >= beta[i + 1] for i in range(len(beta) - 1)) and (
+            not beta or beta[-1] >= 0
+        )
+
+    for length in range(5):
+        for beta in itertools.product(range(-2, 4), repeat=length):
+            assert is_dominant(beta) == defined(beta), beta

@@ -364,6 +364,39 @@ def test_reverse_insertion_gives_at_most_the_first_columns_bottom(tab):
             assert x == tab[0][-1]
 
 
+def leaf_rule_holds(tab):
+    """The condition under which predecessors answers [] before any reverse
+    insertion: tab[0][-1] < tab[-1][0], tab[-2] and tab[-1] one box each, and
+    tab[-3] one box or absent."""
+    return (
+        len(tab) > 1
+        and tab[0][-1] < tab[-1][0]
+        and len(tab[-2]) == len(tab[-1]) == 1
+        and (len(tab) == 2 or len(tab[-3]) == 1)
+    )
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(insertion_tableaux())
+def test_leaf_rule_tableaux_have_no_predecessor(tab):
+    if leaf_rule_holds(tab):
+        assert reference_predecessors(tab) == [], format_tableau(tab)
+        assert predecessors(tab) == []
+
+
+def test_leaf_rule_on_the_differential_components():
+    seen = set()
+    leaves = 0
+    for root in DIFFERENTIAL_ROOTS:
+        if root not in seen:
+            seen.update(component(root).vertices)
+    for v in seen:
+        if leaf_rule_holds(v):
+            assert reference_predecessors(v) == [], format_tableau(v)
+            leaves += 1
+    assert leaves > 100
+
+
 def test_component_skips_corners_that_cannot_give_a_predecessor(monkeypatch):
     calls = itertools.count()
     real = cyclage.reverse_insert

@@ -21,6 +21,7 @@ from symplectic_kf import (
     q_kostant,
 )
 from symplectic_kf.algebra import in_positive_root_cone, rho
+from symplectic_kf.qpoly import QPolynomial
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
@@ -68,6 +69,34 @@ def test_charge_kostka_matches_golden_table():
     for n, lam, mu in all_pairs(range(1, MAX_RANK + 1)):
         want = GOLDEN_TABLE.get((n, lam, mu), {})
         assert charge_kostka(lam, mu, n).coefficients() == want, (lam, mu)
+
+
+def assert_stored_form(p, where):
+    # what QPolynomial keeps for a polynomial: int exponents >= 0 in
+    # ascending order and int coefficients, none of them zero; the exact
+    # routes wrap their decoded dicts in it as they are
+    stored = p._coeffs
+    exponents = list(stored)
+    assert all(type(e) is int and e >= 0 for e in exponents), where
+    assert exponents == sorted(exponents), where
+    assert all(type(c) is int and c for c in stored.values()), where
+    rebuilt = QPolynomial(p.coefficients())
+    assert rebuilt == p and hash(rebuilt) == hash(p), where
+
+
+def test_exact_routes_return_the_stored_form():
+    betas = set()
+    for n, lam, mu in GOLDEN_TABLE:
+        assert_stored_form(kostka_def(lam, mu), ("def", lam, mu))
+        if n == 1 or mu[0] >= lam[1]:
+            assert_stored_form(kostka_morris(lam, mu, n), ("morris", lam, mu))
+        assert_stored_form(charge_kostka(lam, mu, n), ("charge", lam, mu))
+        lam_rho = tuple(a + b for a, b in zip(lam, rho(n)))
+        mu_rho = tuple(a + b for a, b in zip(mu, rho(n)))
+        betas.update(beta for _, beta in kostant._weyl_terms(lam_rho, mu_rho))
+    for beta in betas:
+        assert_stored_form(q_kostant(beta), ("q_kostant", beta))
+    assert len(betas) > 1000
 
 
 @pytest.fixture

@@ -12,6 +12,8 @@ def test_zero_coefficients_dropped():
 def test_negative_exponent_rejected():
     with pytest.raises(ValueError):
         QPolynomial({-1: 2})
+    with pytest.raises(ValueError):
+        QPolynomial({0: 1, 2: 3}).shift(-1)
 
 
 def test_arithmetic():
