@@ -65,6 +65,7 @@ _CACHES = {
     "tableaux._successors": tableaux._successors,
     "tableaux._weight_boxes": tableaux._weight_boxes,
     "tableaux.free_split": tableaux.free_split,
+    "tableaux._column_text": tableaux._column_text,
     "recurrences._pieri_terms": recurrences._pieri_terms,
     "recurrences._kostka_terms": recurrences._kostka_terms,
     "kostant._pair_steps": kostant._pair_steps,

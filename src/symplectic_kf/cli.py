@@ -41,11 +41,10 @@ def _parse_partition(text: str, n: int) -> tuple[int, ...]:
 
 def emit_dot(graph: CyclageGraph) -> str:
     """Deterministic DOT digraph: one node per tableau, one edge per cocyclage."""
+    text = {v: format_tableau(v) for v in graph.vertices}
     lines = ["digraph cyclage {"]
-    for v in graph.vertices:
-        lines.append(f'  "{format_tableau(v)}";')
-    for a, b in graph.edges:
-        lines.append(f'  "{format_tableau(a)}" -> "{format_tableau(b)}";')
+    lines += [f'  "{t}";' for t in text.values()]
+    lines += [f'  "{text[a]}" -> "{text[b]}";' for a, b in graph.edges]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

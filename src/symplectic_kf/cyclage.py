@@ -289,8 +289,8 @@ def predecessors(tab: Tableau) -> list[Tableau]:
     if len(tab) > 1 and tab[0][-1] < tab[-1][0]:
         # Skip the corners that cannot give a predecessor, before reverse
         # inserting there.  The x from reverse insertion at any corner is at
-        # most tab[0][-1]: _reverse_bump_column starts the carried letter at
-        # the top of column 0, and each _reverse_two step keeps it, or
+        # most tab[0][-1]: reverse_insert's walk down column 0 starts x at
+        # the column's top letter, and each of its four cases keeps x, or
         # replaces it by a letter d of the column, or by -(d+1) for a letter
         # d >= 1, all at most the column's bottom letter (at corner 0, x is
         # tab[0][-1] itself).  With k = len(tab), at a corner c < k-1, T*'s

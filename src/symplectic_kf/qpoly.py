@@ -6,8 +6,8 @@ from __future__ import annotations
 class QPolynomial:
     """Polynomial in q with integer coefficients and nonnegative exponents.
 
-    Stored sparsely as exponent -> coefficient; zero coefficients are never
-    kept, so equality is plain coefficient-wise comparison.
+    Stored sparsely as exponent -> coefficient in ascending exponent order,
+    with no zero coefficient, so equal polynomials have equal dicts and reprs.
     """
 
     __slots__ = ("_coeffs",)
@@ -15,7 +15,7 @@ class QPolynomial:
     def __init__(self, coeffs=None):
         clean = {}
         if coeffs:
-            for e, c in dict(coeffs).items():
+            for e, c in sorted(dict(coeffs).items()):
                 if e < 0:
                     raise ValueError(f"negative exponent {e}")
                 if c:

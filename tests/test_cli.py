@@ -5,7 +5,7 @@ import pytest
 
 from symplectic_kf import cli
 from symplectic_kf.algebra import is_dominant
-from symplectic_kf.cyclage import ChainRepetitionError, component
+from symplectic_kf.cyclage import ChainRepetitionError, cocycle, component
 from symplectic_kf.kostant import PositivityError
 from symplectic_kf.qpoly import parse_poly
 from symplectic_kf.tableaux import parse_tableau
@@ -88,6 +88,25 @@ def test_cyclage_graph_ten_vertices():
     for a, b in payload["edges"]:
         assert 0 <= a < 10 and 0 <= b < 10
         assert parse_tableau(payload["vertices"][a])  # labels parse back
+
+
+def test_cyclage_graph_dot_and_json_agree():
+    # both formats print one graph: DOT's nodes are JSON's vertices in order,
+    # DOT's edges are JSON's index pairs, and each edge runs from S to U(S)
+    args = ("cyclage-graph", "--tableau", "-1;-1;1;1", "--format")
+    payload = json.loads(run(*args, "json")[1])
+    names = payload["vertices"]
+    assert run(*args, "dot") == (
+        0,
+        "\n".join(
+            ["digraph cyclage {"]
+            + [f'  "{v}";' for v in names]
+            + [f'  "{names[a]}" -> "{names[b]}";' for a, b in payload["edges"]]
+            + ["}\n"]
+        ),
+    )
+    for a, b in payload["edges"]:
+        assert cocycle(parse_tableau(names[a])) == parse_tableau(names[b])
 
 
 def test_graph_vertex_order_is_reading_lexicographic():

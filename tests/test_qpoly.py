@@ -38,6 +38,23 @@ def test_equality_is_coefficientwise():
     assert QPolynomial({1: 1}) != QPolynomial({1: 2})
 
 
+def test_equal_polynomials_have_equal_reprs():
+    # stored in ascending exponent order, however they were built
+    one_plus_q2 = [
+        QPolynomial({0: 1, 2: 1}),
+        QPolynomial({2: 1, 0: 1}),
+        QPolynomial({2: 1, 1: 0, 0: 1}),
+        QPolynomial({2: 1}) + QPolynomial({0: 1}),
+        QPolynomial({3: 1, 2: 1}) - QPolynomial({3: 1, 0: -1}),
+        QPolynomial({2: 1, 0: 1}) * QPolynomial.one(),
+        QPolynomial({1: 1, 0: 1}) * QPolynomial({1: -1, 0: 1}) + 2 * QPolynomial({2: 1}),
+        QPolynomial({0: 1, 2: 1}).shift(0),
+    ]
+    assert all(p == one_plus_q2[0] for p in one_plus_q2)
+    assert {repr(p) for p in one_plus_q2} == {"QPolynomial({0: 1, 2: 1})"}
+    assert repr(QPolynomial({5: 1, 3: 2}).shift(1)) == "QPolynomial({4: 2, 6: 1})"
+
+
 @pytest.mark.parametrize(
     "coeffs,text",
     [

@@ -17,6 +17,8 @@ from symplectic_kf.cyclage import charge
 from symplectic_kf.kostant import kostka_def
 from symplectic_kf.recurrences import kostka_morris, pieri
 from symplectic_kf.tableaux import (
+    _column_text,
+    _split,
     _weight_boxes,
     admissible_columns,
     admissible_split,
@@ -24,6 +26,7 @@ from symplectic_kf.tableaux import (
     contract_column,
     conjugate_heights,
     enumerate_tableaux,
+    fits_right_of,
     format_tableau,
     free_split,
     insert_into_column,
@@ -99,6 +102,27 @@ def test_parse_format_round_trip():
         assert format_tableau(parse_tableau(text)) == text
 
 
+def test_format_tableau_matches_the_generator_form():
+    # the drawn tableaux hold more distinct columns than _column_text keeps,
+    # so texts are also read back after evictions; a column is a nonempty
+    # subset of +-1..9, drawn as a bit mask over the letters in order
+    letters = [v for v in range(-9, 10) if v]
+    column = st.integers(1, 2 ** len(letters) - 1).map(
+        lambda mask: tuple(x for i, x in enumerate(letters) if mask >> i & 1)
+    )
+
+    @settings(derandomize=True, max_examples=500, deadline=None, database=None)
+    @given(st.lists(column, min_size=6, max_size=8, unique=True))
+    def check(cols):
+        tab = tuple(cols)
+        assert format_tableau(tab) == ";".join(",".join(str(x) for x in col) for col in tab)
+
+    _column_text.cache_clear()
+    check()
+    info = _column_text.cache_info()
+    assert info.misses > info.maxsize and info.hits > 0, info
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(ValueError):
         parse_tableau("1,0;2")
@@ -153,6 +177,48 @@ def test_splits_match_bounded_greedy():
             if col:
                 bound = max(map(abs, col)) + len(col)
                 assert free_split(col) == reference_admissible_split(col, bound), col
+
+
+def greedy_split(col):
+    """_split with no shortcut: the greedy substitution, then both sorts."""
+    letters = set(col)
+    subs = {}
+    t = 0
+    for z in sorted(z for z in letters if z > 0 and -z in letters):
+        t = max(t, z) + 1
+        while t in letters or -t in letters:
+            t += 1
+        subs[z] = t
+    r_col = tuple(sorted(subs.get(x, x) for x in col))
+    l_col = tuple(sorted(-subs[-x] if (x < 0 and -x in subs) else x for x in col))
+    return l_col, r_col
+
+
+def test_split_matches_the_greedy_path():
+    # every strictly increasing column over +-1..5, of every height 0-10; a
+    # column without a (z, zbar) pair is its own split
+    letters = [v for v in range(-5, 6) if v]
+    pair_free = 0
+    for h in range(len(letters) + 1):
+        for col in itertools.combinations(letters, h):
+            assert _split(col) == greedy_split(col), col
+            pair_free += _split(col) == (col, col)
+    assert pair_free == 3**5
+
+
+def test_fits_right_of_matches_the_split_condition():
+    # every pair of nonempty columns over +-1..4: the row-by-row pretest
+    # decides no pair the splits would not
+    letters = [v for v in range(-4, 5) if v]
+    cols = [c for h in range(1, 9) for c in itertools.combinations(letters, h)]
+    splits = {c: greedy_split(c) for c in cols}
+    fits = 0
+    for left in cols:
+        for col in cols:
+            expected = len(left) >= len(col) and column_leq(splits[left][1], splits[col][0])
+            assert fits_right_of(left, col) == expected, (left, col)
+            fits += expected
+    assert fits > 1000
 
 
 def small_tableaux(letter_max, max_columns):
@@ -526,6 +592,7 @@ def fill_package_caches():
         kostka_morris((4, 2, 0), (2, 0, 0), 3),
         minimal_rank(T("-1,1;2")),
         charge(T("-3;-2;-1;1"), 3),
+        format_tableau(T("-1,1;2")),
     )
 
 
