@@ -47,10 +47,22 @@ def check_rank(n: int) -> None:
         raise ValueError(f"rank must be at least 1, got {n}")
 
 
+def _int_entries(w: tuple) -> bool:
+    """Whether every entry of w is an int, in one pass: a sum of ints is an
+    int, and a float, Fraction or str entry makes it something else or fails."""
+    try:
+        return type(sum(w)) is int
+    except TypeError:
+        return False
+
+
 def check_weight(w, n: int) -> Weight:
-    """tuple(w); raise ValueError unless n is a rank and w a dominant weight of it."""
+    """tuple(w); raise ValueError unless n is a rank and w a dominant weight of
+    it with int entries."""
     check_rank(n)
     w = tuple(w)
+    if not _int_entries(w):
+        raise ValueError(f"{w} is not a weight: its entries must be ints")
     if len(w) != n or not is_dominant(w):
         raise ValueError(f"{w} is not a dominant rank-{n} weight")
     return w

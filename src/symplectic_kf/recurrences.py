@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import functools
 from collections import namedtuple
+from operator import sub
 
 from . import kostant
-from .algebra import Weight, check_weight
+from .algebra import Weight, check_weight, in_positive_root_cone
 from .cyclage import _charge, _check_chain_start
 from .kostant import kostka_def
 from .qpoly import QPolynomial
@@ -260,10 +261,22 @@ class VerificationReport(
 
 
 def verify_conjecture(lam: Weight, mu: Weight, n: int) -> VerificationReport:
-    """Compare kostka_def with the charge route; a mismatch is a finding, not an error."""
+    """Compare kostka_def with the charge route; a mismatch is a finding, not an error.
+
+    Both weights are checked once with ``check_weight``.  A pair with lam - mu
+    outside the positive root cone is answered by that one test, with zero on
+    both sides and no tableaux, and runs neither route; both routes cut such
+    a pair by the same test.
+    """
+    lam, mu = check_weight(lam, n), check_weight(mu, n)
+    # mu is dominant, so mu+ = mu: enumerate_tableaux's cut on lam - mu+ is
+    # kostka_def's cut on lam - mu, and this test is both
+    if not in_positive_root_cone(tuple(map(sub, lam, mu))):
+        zero = QPolynomial.zero()
+        return VerificationReport(lam, mu, n, zero, zero, ())
     k_def = kostka_def(lam, mu)
     listing, k_charge = _tableau_charges(lam, mu, n)
-    return VerificationReport(tuple(lam), tuple(mu), n, k_def, k_charge, listing)
+    return VerificationReport(lam, mu, n, k_def, k_charge, listing)
 
 
 def verify_fundamental_conjecture(p: int, n: int) -> VerificationReport:

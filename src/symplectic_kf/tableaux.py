@@ -15,7 +15,7 @@ import itertools
 from collections import namedtuple
 from operator import add, ge, le, neg, sub
 
-from .algebra import Weight, check_rank, in_positive_root_cone, is_dominant
+from .algebra import Weight, _int_entries, check_rank, in_positive_root_cone, is_dominant
 from .crystal import Word, word_weight
 
 Column = tuple[int, ...]
@@ -100,7 +100,17 @@ def _split(col: Column) -> tuple[Column, Column]:
 
 
 def admissible_split(col: Column, n: int) -> tuple[Column, Column] | None:
-    """Split an n-admissible column into (lC, rC); None when not admissible."""
+    """Split an n-admissible column into (lC, rC); None when not admissible.
+
+    Raises ValueError unless col is a strictly increasing tuple of nonzero ints.
+    """
+    if (
+        type(col) is not tuple
+        or not _int_entries(col)
+        or 0 in col
+        or any(map(ge, col, col[1:]))
+    ):
+        raise ValueError(f"{col!r} is not a strictly increasing tuple of nonzero ints")
     split = _split(col)
     return split if max(map(abs, split[1]), default=0) <= n else None
 
@@ -146,9 +156,10 @@ def _column_table(n: int, height: int) -> _ColumnTable:
     """The rank-n admissible columns of one height, kept until ``clear_caches``."""
     letters = list(range(-n, 0)) + list(range(1, n + 1))
     splits = {}
+    # the combinations are columns, so they skip admissible_split's check
     for col in itertools.combinations(letters, height):
-        split = admissible_split(col, n)
-        if split is not None:
+        split = _split(col)
+        if max(map(abs, split[1]), default=0) <= n:
             splits[col] = split
     return _ColumnTable(
         tuple(splits),

@@ -148,6 +148,16 @@ def test_verify_sweep_parallel(monkeypatch):
     assert "mismatches: 0" in out
 
 
+def test_verify_sweep_pool_prints_the_same_bytes(monkeypatch):
+    monkeypatch.delenv(cli.JOBS_ENV_VAR, raising=False)
+    serial = run("verify", "-n", "3", "--max-weight", "4")
+    assert serial[0] == 0
+    # two workers even on a one-CPU host, where the count would be capped to 1
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setenv(cli.JOBS_ENV_VAR, "2")
+    assert run("verify", "-n", "3", "--max-weight", "4") == serial
+
+
 def test_verify_mismatch_exit_code(monkeypatch):
     fake = {
         "lambda": [1],

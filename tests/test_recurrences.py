@@ -1,4 +1,7 @@
+import collections
 import itertools
+import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +9,7 @@ from hypothesis import strategies as st
 
 from make_kostka_golden import dominant_weights
 from symplectic_kf import cli, recurrences
-from symplectic_kf.algebra import is_dominant
+from symplectic_kf.algebra import in_positive_root_cone, is_dominant
 from symplectic_kf.crystal import is_highest, word_weight
 from symplectic_kf.cyclage import charge, charge_chain, reduce
 from symplectic_kf.kostant import kostka_def
@@ -131,6 +134,34 @@ def test_routes_reject_bad_weights(bad, n):
         lambda: pieri(bad, 1, n),
         lambda: charge_kostka(bad, zero, n),
         lambda: charge_kostka(zero, bad, n),
+        lambda: verify_conjecture(bad, zero, n),
+        lambda: verify_conjecture(zero, bad, n),
+    ):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
+# entries that are not ints, integral in value or not: kostka_def used to
+# return 0 for (1.5, 0) and raise TypeError from inside the DP for (2.0, 0)
+@pytest.mark.parametrize(
+    "bad",
+    [(1.5, 0), (2.0, 0), (Fraction(3, 2), 0), (Fraction(2), 0), (2, 0.0)],
+    ids=["float", "integral-float", "fraction", "integral-fraction", "float-zero"],
+)
+def test_routes_reject_non_int_weights(bad):
+    zero = (0, 0)
+    match = re.escape(f"{bad} is not a weight: its entries must be ints")
+    for call in (
+        lambda: kostka_def(bad, zero),
+        lambda: kostka_def(zero, bad),
+        lambda: kostka_morris(bad, zero, 2),
+        lambda: kostka_morris(zero, bad, 2),
+        lambda: kostka_row(2, bad, 2),
+        lambda: pieri(bad, 1, 2),
+        lambda: charge_kostka(bad, zero, 2),
+        lambda: charge_kostka(zero, bad, 2),
+        lambda: verify_conjecture(bad, zero, 2),
+        lambda: verify_conjecture(zero, bad, 2),
     ):
         with pytest.raises(ValueError, match=match):
             call()
@@ -370,6 +401,28 @@ def test_verify_conjecture_reports():
     report = verify_conjecture((2, 1), (2, 1), 2)
     assert report.verdict == "match"
     assert [c for _, c in report.tableau_charges] == [0]
+
+
+@pytest.mark.parametrize("n, mw", [(1, 8), (2, 8), (3, 6), (4, 5), (5, 4)])
+def test_verify_conjecture_cut_is_exact(n, mw):
+    # verify_conjecture answers a pair with lam - mu outside the root cone
+    # itself; its record must be the one the public routes give run apart,
+    # and the enumeration must find no tableau for such a pair
+    weights = list(cli._dominant_vectors(n, mw))
+    cut = 0
+    for lam in weights:
+        for mu in weights:
+            tabs = enumerate_tableaux(lam, mu, n)
+            listing = tuple((t, charge(t, n)) for t in tabs)
+            k_charge = QPolynomial(collections.Counter(c for _, c in listing))
+            apart = recurrences.VerificationReport(
+                lam, mu, n, kostka_def(lam, mu), k_charge, listing
+            )
+            assert verify_conjecture(lam, mu, n).to_record() == apart.to_record(), (lam, mu)
+            if not in_positive_root_cone(tuple(a - b for a, b in zip(lam, mu))):
+                cut += 1
+                assert tabs == [], (lam, mu)
+    assert 0 < cut < len(weights) ** 2
 
 
 def test_verify_conjecture_rejects_wrong_length_weight():

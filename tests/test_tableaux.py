@@ -142,6 +142,17 @@ def test_admissible_split_fixtures():
     assert admissible_split(col, 3) == (col, col)
 
 
+@pytest.mark.parametrize(
+    "col",
+    [(2, 1), [1, 2], (0, 1), (1, 1), (1.0, 2)],
+    ids=["decreasing", "list", "zero", "repeated", "float"],
+)
+def test_admissible_split_rejects_a_malformed_column(col):
+    # (2, 1) used to split as ((2, 1), (2, 1)) and [1, 2] as two lists
+    with pytest.raises(ValueError, match="is not a strictly increasing tuple of nonzero ints"):
+        admissible_split(col, 3)
+
+
 def test_admissible_split_single_pair():
     l_col, r_col = admissible_split((-4, -2, 2), 4)
     assert r_col == (-4, -2, 3)
