@@ -111,6 +111,11 @@ def admissible_split(col: Column, n: int) -> tuple[Column, Column] | None:
         or any(map(ge, col, col[1:]))
     ):
         raise ValueError(f"{col!r} is not a strictly increasing tuple of nonzero ints")
+    return _rank_split(col, n)
+
+
+def _rank_split(col: Column, n: int) -> tuple[Column, Column] | None:
+    """``admissible_split`` without its check of col."""
     split = _split(col)
     return split if max(map(abs, split[1]), default=0) <= n else None
 
@@ -156,10 +161,9 @@ def _column_table(n: int, height: int) -> _ColumnTable:
     """The rank-n admissible columns of one height, kept until ``clear_caches``."""
     letters = list(range(-n, 0)) + list(range(1, n + 1))
     splits = {}
-    # the combinations are columns, so they skip admissible_split's check
     for col in itertools.combinations(letters, height):
-        split = _split(col)
-        if max(map(abs, split[1]), default=0) <= n:
+        split = _rank_split(col, n)
+        if split is not None:
             splits[col] = split
     return _ColumnTable(
         tuple(splits),
@@ -365,13 +369,13 @@ def contract_column(col: Column, n: int) -> Column:
     z is the maximal unbarred letter whose pair occurs in the column with
     card{t in column : |t| >= z} > n - z + 1.
     """
-    if admissible_split(col, n) is not None:
+    if _rank_split(col, n) is not None:
         raise ValueError("column is already n-admissible")
     letters = set(col)
     for z in sorted((x for x in letters if x > 0 and -x in letters), reverse=True):
         if sum(1 for t in col if abs(t) >= z) > n - z + 1:
             out = tuple(t for t in col if t not in (z, -z))
-            if out and admissible_split(out, n) is None:
+            if out and _rank_split(out, n) is None:
                 raise ValueError(f"contraction of {col} is not n-admissible")
             return out
     raise ValueError(f"no contractible pair in {col}")

@@ -374,6 +374,8 @@ def test_insertion_commutes_with_crystal_operators_drawn(case, operator):
 def test_contract_column_fixtures():
     assert contract_column((-3, -1, 1, 3), 3) == (-1, 1)
     assert contract_column((-1, 1), 1) == ()
+    # unlike admissible_split, it does not check the column's type
+    assert contract_column([-1, 1], 1) == ()
     assert contract_column((-2, -1, 1, 2), 2) == (-1, 1)
 
 
