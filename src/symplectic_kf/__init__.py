@@ -30,7 +30,7 @@ from .cyclage import (
     reduce,
     translate,
 )
-from .kostant import kostka_def, positive_roots, q_kostant
+from .kostant import kostka_def, q_kostant
 from .qpoly import QPolynomial, format_poly, parse_poly
 from .recurrences import (
     VerificationReport,
@@ -127,7 +127,6 @@ __all__ = [
     "parse_poly",
     "parse_tableau",
     "pieri",
-    "positive_roots",
     "predecessors",
     "q_kostant",
     "reading",

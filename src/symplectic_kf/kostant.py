@@ -38,25 +38,6 @@ class PositivityError(RuntimeError):
     """A Kostka polynomial came out with a negative coefficient."""
 
 
-def positive_roots(n: int) -> list[Weight]:
-    """The n^2 positive roots, grouped by their leading coordinate position."""
-    roots = []
-    for i in range(n, 0, -1):
-        for j in range(i - 1, 0, -1):
-            r = [0] * n
-            r[n - i] = 1
-            r[n - j] = -1
-            roots.append(tuple(r))
-            r2 = [0] * n
-            r2[n - i] = 1
-            r2[n - j] = 1
-            roots.append(tuple(r2))
-        r3 = [0] * n
-        r3[n - i] = 2
-        roots.append(tuple(r3))
-    return roots
-
-
 @functools.cache
 def _pair_steps(n: int) -> tuple[tuple[int, int, bool], ...]:
     """(p, j, whether j is the last pair of p) for each rank-n pair step, in order."""
@@ -168,39 +149,66 @@ def q_kostant(beta: Weight) -> QPolynomial:
     return QPolynomial._of(_unpack(*_count(0, beta), False, "q_kostant", beta))
 
 
-def _weyl_terms(lam_rho: Weight, mu_rho: Weight):
-    """Yield (sign, beta) for each w with beta = w(lam_rho) - mu_rho in the root cone.
+def _weyl_terms(lam_rho: Weight, mu_rho: Weight) -> list[tuple[int, Weight]]:
+    """The (sign, beta) for each w with beta = w(lam_rho) - mu_rho in the root
+    cone, as a list: j ascending at each coordinate, + before - for each j.
 
     Builds w(lam_rho) one coordinate at a time, each coordinate +-lam_rho[j]
     for an unused j, and cuts a branch as soon as a prefix sum of beta goes
     negative.  lam_rho is strictly decreasing and positive, so each signed
     permutation gives a distinct vector, and its sign (-1)^l(w) is the parity
     of inversions plus sign flips, as in ``straighten`` of
-    ``tests/weyl_reference.py``.
+    ``tests/weyl_reference.py``.  Picking j at coordinate i adds the used
+    indices above j, i less the ones met below j in the loop, to the
+    inversions.  The + value exceeds the - value, and every later j has a
+    smaller one, so a failed + test ends the loop.  The last coordinate has
+    one j left and is settled in place: its two values differ by
+    2 lam_rho[j], so one test decides the parity of both.
     """
     n = len(lam_rho)
+    last = n - 1
     used = [False] * n
     beta = [0] * n
+    terms = []
 
-    def rec(i: int, prefix: int, parity: int):
-        if i == n:
-            if prefix % 2 == 0:
-                yield (-1 if parity else 1), tuple(beta)
-            return
+    def rec(i: int, prefix: int, parity: int) -> None:
         target = mu_rho[i]
+        if i == last:
+            j = used.index(False)
+            value = lam_rho[j]
+            b = value - target
+            if prefix + b < 0 or (prefix + b) % 2:
+                return
+            # the last - j used indices above j are inversions
+            parity = (parity + last - j) % 2
+            beta[i] = b
+            terms.append((-1 if parity else 1, tuple(beta)))
+            b = -value - target
+            if prefix + b >= 0:
+                beta[i] = b
+                terms.append((1 if parity else -1, tuple(beta)))
+            return
+        below = 0
         for j in range(n):
             if used[j]:
+                below += 1
                 continue
-            inversions = sum(used[j + 1:])
+            value = lam_rho[j]
+            b = value - target
+            if prefix + b < 0:
+                break
             used[j] = True
-            for value, flip in ((lam_rho[j], 0), (-lam_rho[j], 1)):
-                b = value - target
-                if prefix + b >= 0:
-                    beta[i] = b
-                    yield from rec(i + 1, prefix + b, (parity + inversions + flip) % 2)
+            parity_j = parity + i - below
+            beta[i] = b
+            rec(i + 1, prefix + b, parity_j)
+            b = -value - target
+            if prefix + b >= 0:
+                beta[i] = b
+                rec(i + 1, prefix + b, parity_j + 1)
             used[j] = False
 
-    yield from rec(0, 0, 0)
+    rec(0, 0, 0)
+    return terms
 
 
 def kostka_def(lam: Weight, mu: Weight) -> QPolynomial:

@@ -11,11 +11,10 @@ from symplectic_kf.kostant import (
     _weyl_terms,
     in_positive_root_cone,
     kostka_def,
-    positive_roots,
     q_kostant,
 )
 from symplectic_kf.qpoly import QPolynomial
-from weyl_reference import weyl_group
+from weyl_reference import positive_roots, reference_weyl_terms, weyl_group
 
 
 def brute_force_counts(beta, n):
@@ -234,6 +233,20 @@ def test_pruned_weyl_terms_match_full_group(n, size):
             assert sorted(_weyl_terms(lam_rho, mu_rho)) == want, (lam, mu)
 
 
+def test_weyl_terms_keep_the_reference_order():
+    # the same (sign, beta) terms, in the same order, as the generator the
+    # flat walk replaced: j ascending, + before - for each j
+    for n, size in [(1, 8), (2, 8), (3, 8), (4, 6), (5, 4), (6, 4), (8, 3)]:
+        rhov = rho(n)
+        weights = dominant_weights(n, size)
+        for lam in weights:
+            lam_rho = tuple(a + b for a, b in zip(lam, rhov))
+            for mu in weights:
+                mu_rho = tuple(a + b for a, b in zip(mu, rhov))
+                want = list(reference_weyl_terms(lam_rho, mu_rho))
+                assert _weyl_terms(lam_rho, mu_rho) == want, (lam, mu)
+
+
 def test_weyl_sum_is_empty_outside_the_cone():
     # kostka_def answers a pair with lam - mu outside the root cone 0 before
     # any search; the search it skips must find no term for any such pair
@@ -248,7 +261,7 @@ def test_weyl_sum_is_empty_outside_the_cone():
                 outside += 1
                 lam_rho = tuple(a + b for a, b in zip(lam, rhov))
                 mu_rho = tuple(a + b for a, b in zip(mu, rhov))
-                assert next(_weyl_terms(lam_rho, mu_rho), None) is None, (lam, mu)
+                assert _weyl_terms(lam_rho, mu_rho) == [], (lam, mu)
     assert outside == 1528
 
 

@@ -1,8 +1,11 @@
-"""The hyperoctahedral Weyl group W(C_n) and the straightening law, for tests.
+"""The hyperoctahedral Weyl group W(C_n), its positive roots and the
+straightening law, for tests.
 
 No route of the package enumerates W(C_n): ``kostant._weyl_terms`` builds only
 the signed permutations whose Weyl term can be nonzero.  The whole group with
-its Coxeter lengths is the reference that pruning is checked against.
+its Coxeter lengths is the reference that pruning is checked against, and
+``reference_weyl_terms``, the generator ``_weyl_terms`` was before it returned
+a list, is the reference for the order of its terms.
 
 A signed permutation is a tuple ``sigma`` of length n where ``sigma[i-1]`` is
 the signed image of i; ``symplectic_kf.algebra.act`` is its action on weights.
@@ -104,3 +107,56 @@ def straighten(beta):
     sign = -1 if (flips + inversions) % 2 else 1
     lam = tuple(x - y for x, y in zip(sorted(absv, reverse=True), r))
     return sign, lam
+
+
+def positive_roots(n):
+    """The n^2 positive roots, grouped by their leading coordinate position."""
+    roots = []
+    for i in range(n, 0, -1):
+        for j in range(i - 1, 0, -1):
+            r = [0] * n
+            r[n - i] = 1
+            r[n - j] = -1
+            roots.append(tuple(r))
+            r2 = [0] * n
+            r2[n - i] = 1
+            r2[n - j] = 1
+            roots.append(tuple(r2))
+        r3 = [0] * n
+        r3[n - i] = 2
+        roots.append(tuple(r3))
+    return roots
+
+
+def reference_weyl_terms(lam_rho, mu_rho):
+    """Yield (sign, beta) for each w with beta = w(lam_rho) - mu_rho in the root cone.
+
+    Builds w(lam_rho) one coordinate at a time, each coordinate +-lam_rho[j]
+    for an unused j, and cuts a branch as soon as a prefix sum of beta goes
+    negative.  lam_rho is strictly decreasing and positive, so each signed
+    permutation gives a distinct vector, and its sign (-1)^l(w) is the parity
+    of inversions plus sign flips, as in ``straighten``.
+    """
+    n = len(lam_rho)
+    used = [False] * n
+    beta = [0] * n
+
+    def rec(i: int, prefix: int, parity: int):
+        if i == n:
+            if prefix % 2 == 0:
+                yield (-1 if parity else 1), tuple(beta)
+            return
+        target = mu_rho[i]
+        for j in range(n):
+            if used[j]:
+                continue
+            inversions = sum(used[j + 1:])
+            used[j] = True
+            for value, flip in ((lam_rho[j], 0), (-lam_rho[j], 1)):
+                b = value - target
+                if prefix + b >= 0:
+                    beta[i] = b
+                    yield from rec(i + 1, prefix + b, (parity + inversions + flip) % 2)
+            used[j] = False
+
+    yield from rec(0, 0, 0)
