@@ -56,13 +56,18 @@ def _int_entries(w: tuple) -> bool:
         return False
 
 
+def _non_int_weight(w: tuple) -> ValueError:
+    """The error for a weight w with an entry that is not an int."""
+    return ValueError(f"{w} is not a weight: its entries must be ints")
+
+
 def check_weight(w, n: int) -> Weight:
     """tuple(w); raise ValueError unless n is a rank and w a dominant weight of
     it with int entries."""
     check_rank(n)
     w = tuple(w)
     if not _int_entries(w):
-        raise ValueError(f"{w} is not a weight: its entries must be ints")
+        raise _non_int_weight(w)
     if len(w) != n or not is_dominant(w):
         raise ValueError(f"{w} is not a dominant rank-{n} weight")
     return w

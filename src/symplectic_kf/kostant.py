@@ -6,7 +6,14 @@ import functools
 from itertools import accumulate
 from operator import add, sub
 
-from .algebra import Weight, check_weight, in_positive_root_cone, rho
+from .algebra import (
+    Weight,
+    _int_entries,
+    _non_int_weight,
+    check_weight,
+    in_positive_root_cone,
+    rho,
+)
 from .qpoly import QPolynomial
 
 # Entries the state memo may hold, all ranks together, before it is emptied
@@ -140,10 +147,13 @@ def q_kostant(beta: Weight) -> QPolynomial:
 
     Bounded dynamic programming over the pairs of roots e_p - e_j, e_p + e_j
     and the closing 2e_p steps in leading-position order, with one memo
-    shared by every beta of every rank.  Raises OverflowError if the number
-    of ways reaches 2^64, past what the DP's packed values read back exactly.
+    shared by every beta of every rank.  Raises ValueError if an entry of
+    beta is not an int, and OverflowError if the number of ways reaches 2^64,
+    past what the DP's packed values read back exactly.
     """
     beta = tuple(beta)
+    if not _int_entries(beta):
+        raise _non_int_weight(beta)
     if not in_positive_root_cone(beta):
         return QPolynomial.zero()
     return QPolynomial._of(_unpack(*_count(0, beta), False, "q_kostant", beta))

@@ -15,7 +15,14 @@ import itertools
 from collections import namedtuple
 from operator import add, ge, le, neg, sub
 
-from .algebra import Weight, _int_entries, check_rank, in_positive_root_cone, is_dominant
+from .algebra import (
+    Weight,
+    _int_entries,
+    _non_int_weight,
+    check_rank,
+    in_positive_root_cone,
+    is_dominant,
+)
 from .crystal import Word, word_weight
 
 Column = tuple[int, ...]
@@ -390,12 +397,16 @@ def enumerate_tableaux(lam, mu: Weight, n: int) -> list[Tableau]:
     column ranges over its whole table, each later one over the successors of
     the column left of it, and a column is taken only when the weight still
     to be placed lies in its weight box.  The result is sorted
-    lexicographically by reading.
+    lexicographically by reading.  Raises ValueError if an entry of lam or mu
+    is not an int.
     """
     check_rank(n)
-    if not is_dominant(tuple(lam)):
+    lam, mu = tuple(lam), tuple(mu)
+    for w in (lam, mu):
+        if not _int_entries(w):
+            raise _non_int_weight(w)
+    if not is_dominant(lam):
         raise ValueError(f"{lam} is not dominant")
-    mu = tuple(mu)
     if len(mu) != n:
         raise ValueError(f"weight {mu} has {len(mu)} entries, not {n}")
     heights = conjugate_heights(lam)

@@ -12,7 +12,7 @@ from symplectic_kf import cli, recurrences
 from symplectic_kf.algebra import in_positive_root_cone, is_dominant
 from symplectic_kf.crystal import is_highest, word_weight
 from symplectic_kf.cyclage import charge, charge_chain, reduce
-from symplectic_kf.kostant import kostka_def
+from symplectic_kf.kostant import kostka_def, q_kostant
 from symplectic_kf.qpoly import QPolynomial
 from symplectic_kf.recurrences import (
     charge_kostka,
@@ -142,7 +142,9 @@ def test_routes_reject_bad_weights(bad, n):
 
 
 # entries that are not ints, integral in value or not: kostka_def used to
-# return 0 for (1.5, 0) and raise TypeError from inside the DP for (2.0, 0)
+# return 0 for (1.5, 0) and raise TypeError from inside the DP for (2.0, 0);
+# q_kostant returned 0 for (1.5, 0), and enumerate_tableaux listed tableaux
+# for (2.0, 0) as mu and (2, 0.0) as lam
 @pytest.mark.parametrize(
     "bad",
     [(1.5, 0), (2.0, 0), (Fraction(3, 2), 0), (Fraction(2), 0), (2, 0.0)],
@@ -162,6 +164,9 @@ def test_routes_reject_non_int_weights(bad):
         lambda: charge_kostka(zero, bad, 2),
         lambda: verify_conjecture(bad, zero, 2),
         lambda: verify_conjecture(zero, bad, 2),
+        lambda: q_kostant(bad),
+        lambda: enumerate_tableaux(bad, zero, 2),
+        lambda: enumerate_tableaux(zero, bad, 2),
     ):
         with pytest.raises(ValueError, match=match):
             call()
