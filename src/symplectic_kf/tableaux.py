@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import namedtuple
-from operator import add, ge, le, neg, sub
+from operator import ge, itemgetter, le
 
 from .algebra import (
     Weight,
@@ -68,11 +68,12 @@ def reading(tab: Tableau) -> Word:
 
 
 def conjugate_heights(lam) -> list[int]:
-    """Column heights of the diagram of a partition, left to right."""
-    parts = [x for x in lam if x > 0]
-    if not parts:
-        return []
-    return [sum(1 for x in parts if x >= j) for j in range(1, parts[0] + 1)]
+    """Column heights of the diagram of a partition, left to right: height k
+    for each of the lam[k-1] - lam[k] columns that part k ends."""
+    heights = []
+    for k in range(len(lam), 0, -1):
+        heights += [k] * (lam[k - 1] - (lam[k] if k < len(lam) else 0))
+    return heights
 
 
 def tableau_weight(tab: Tableau, n: int) -> Weight:
@@ -158,9 +159,49 @@ def minimal_rank(tab: Tableau) -> int:
     return max((max(map(abs, free_split(col)[1])) for col in tab), default=1)
 
 
+# ------------------------------------------------------------ packed weights
+
+# The walk of ``enumerate_tableaux`` holds a vector as one int, sum v_i 2^(16 i)
+# with v_i a signed 16-bit field (Kronecker substitution, as for the packed
+# polynomials of ``kostant``): a difference of vectors is one subtraction, and
+# "every entry is >= 0" is one mask test.  Both are exact while every field
+# stays in [-2^15, 2^15).  With B boxes in the shape, the weight still to place
+# is mu minus the weights of the columns placed so far, so each entry is at
+# most sum |mu| + B <= 2B in absolute value (the cone test in front leaves
+# sum |mu| <= B), and a box entry is an entry of the weight of at most B boxes.
+# A field of the box test is their difference, at most 3B, so B is capped at
+# _MAX_BOXES.
+_FIELD = 16
+_MAX_BOXES = ((1 << (_FIELD - 1)) - 1) // 3
+
+
+def _pack(v) -> int:
+    """One int for the vector v, entry i in field i."""
+    return sum(x << (_FIELD * i) for i, x in enumerate(v))
+
+
+def _unpack(packed: int, size: int) -> tuple[int, ...]:
+    """The vector of ``size`` signed fields that ``_pack`` made ``packed`` from."""
+    out = []
+    half = 1 << (_FIELD - 1)
+    for _ in range(size):
+        x = ((packed + half) & ((1 << _FIELD) - 1)) - half
+        out.append(x)
+        packed = (packed - x) >> _FIELD
+    return tuple(out)
+
+
+def _high_bits(size: int) -> int:
+    """Bit 15 of each of ``size`` fields: the sign bits of the box test."""
+    return ((1 << (_FIELD * size)) - 1) // ((1 << _FIELD) - 1) << (_FIELD - 1)
+
+
+# ---------------------------------------------------------------- column tables
+
 # The n-admissible columns of one height, sorted, with per-column data: the
-# lC, the rC and the weight of each column.
-_ColumnTable = namedtuple("_ColumnTable", "columns left right weights")
+# lC, the rC and the packed weight (``_pack``) of each column, and the indices
+# of the columns of each packed weight.
+_ColumnTable = namedtuple("_ColumnTable", "columns left right packed by_weight")
 
 
 @functools.cache
@@ -172,11 +213,16 @@ def _column_table(n: int, height: int) -> _ColumnTable:
         split = _rank_split(col, n)
         if split is not None:
             splits[col] = split
+    packed = tuple(_pack(word_weight(col, n)) for col in splits)
+    by_weight = {}
+    for j, p in enumerate(packed):
+        by_weight.setdefault(p, []).append(j)
     return _ColumnTable(
         tuple(splits),
         tuple(l_col for l_col, _ in splits.values()),
         tuple(r_col for _, r_col in splits.values()),
-        tuple(word_weight(col, n) for col in splits),
+        packed,
+        {p: tuple(js) for p, js in by_weight.items()},
     )
 
 
@@ -193,30 +239,33 @@ def _successors(n: int, h1: int, h2: int) -> tuple[tuple[int, ...], ...]:
 
 
 @functools.cache
-def _weight_boxes(n: int, runs: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...] | None, ...]:
+def _weight_boxes(n: int, runs: tuple[tuple[int, int], ...]) -> tuple[int | None, ...]:
     """For each rank-n column C of height runs[0][0], the weight box of the
     column chains that start at C and follow the successor lists; None when
     no chain does.  The box is lo + (-hi), with lo and hi the coordinatewise
-    min and max of the chains' weights, so a weight d lies in it exactly when
-    box <= d + (-d) coordinatewise, and the boxes of a set of chains combine
-    by one coordinatewise min.  The chains run over the column heights that
-    ``runs`` spells as (height, count) pairs, so a key holds at most n pairs
-    however wide the shape.  Built from the boxes of the chains one column
-    shorter, so shapes that share a suffix of column heights share them.
-    Kept until ``clear_caches``."""
+    min and max of the chains' weights, packed over 2n fields (``_pack``), so
+    a weight d lies in it exactly when box <= d + (-d) in every field.  The
+    boxes of a set of chains combine by one coordinatewise min of their
+    unpacked fields, and a column's weight w adds to a box as the packed
+    w + (-w).  The chains run over the column heights that ``runs``
+    spells as (height, count) pairs, so a key holds at most n pairs however
+    wide the shape.  Built from the boxes of the chains one column shorter, so
+    shapes that share a suffix of column heights share them.  Kept until
+    ``clear_caches``."""
     height, count = runs[0]
-    spans = [w + tuple(map(neg, w)) for w in _column_table(n, height).weights]
+    shift = _FIELD * n
+    spans = [p - (p << shift) for p in _column_table(n, height).packed]
     if count > 1:
         tail = ((height, count - 1),) + runs[1:]
     elif len(runs) > 1:
         tail = runs[1:]
     else:
         return tuple(spans)
-    rest = _weight_boxes(n, tail)
+    rest = [None if box is None else _unpack(box, 2 * n) for box in _weight_boxes(n, tail)]
     out = []
     for span, nxt in zip(spans, _successors(n, height, tail[0][0])):
         boxes = [rest[k] for k in nxt if rest[k] is not None]
-        out.append(tuple(map(add, span, map(min, zip(*boxes)))) if boxes else None)
+        out.append(span + _pack(map(min, zip(*boxes))) if boxes else None)
     return tuple(out)
 
 
@@ -390,15 +439,21 @@ def contract_column(col: Column, n: int) -> Column:
 
 # ---------------------------------------------------------------- enumeration
 
+# a tableau's columns, right to left
+_right_to_left = itemgetter(slice(None, None, -1))
+
+
 def enumerate_tableaux(lam, mu: Weight, n: int) -> list[Tableau]:
     """All n-symplectic tableaux of shape lam whose reading has weight mu.
 
-    Column-by-column backtracking over the rank-n column graph: the first
-    column ranges over its whole table, each later one over the successors of
-    the column left of it, and a column is taken only when the weight still
-    to be placed lies in its weight box.  The result is sorted
-    lexicographically by reading.  Raises ValueError if an entry of lam or mu
-    is not an int.
+    Column-by-column backtracking over the rank-n column graph, on packed
+    weights (``_pack``): the first column ranges over its whole table, each
+    later one over the successors of the column left of it, and a column is
+    taken only when the weight still to be placed lies in its weight box,
+    which is one int test.  The last column is looked up by the weight left
+    for it.  The result is sorted lexicographically by reading.  Raises
+    ValueError if an entry of lam or mu is not an int, or if lam has more
+    than ``_MAX_BOXES`` boxes, past which the packed fields could overflow.
     """
     check_rank(n)
     lam, mu = tuple(lam), tuple(mu)
@@ -409,57 +464,72 @@ def enumerate_tableaux(lam, mu: Weight, n: int) -> list[Tableau]:
         raise ValueError(f"{lam} is not dominant")
     if len(mu) != n:
         raise ValueError(f"weight {mu} has {len(mu)} entries, not {n}")
+    if sum(lam) > _MAX_BOXES:
+        raise ValueError(f"{lam} has more than {_MAX_BOXES} boxes, too many for 16-bit weight fields")
     heights = conjugate_heights(lam)
     if not heights:
         return [()] if not any(mu) else []
     # a tableau's weight is a weight of the crystal B(lam), so the dominant
     # weight in its Weyl orbit, mu+ = |mu| sorted in decreasing order, has
-    # lam - mu+ in the root cone.  The test holds both cuts that counting
-    # letters gives, as each letter moves one weight entry by +-1: its even
-    # total says sum(mu) = box count mod 2, and its last prefix sum says
-    # sum |mu| <= box count, which the walk tests again at each node
+    # lam - mu+ in the root cone.  Of the cuts that counting letters gives, as
+    # each letter moves one weight entry by +-1, the test holds the parity
+    # (sum(mu) = box count mod 2, its even total) and sum |mu| <= box count
+    # (its last prefix sum), which bounds the packed fields
     mu_plus = sorted(map(abs, mu), reverse=True)
     if not in_positive_root_cone(
         tuple(a - b for a, b in itertools.zip_longest(lam, mu_plus, fillvalue=0))
     ):
         return []
     tables = [_column_table(n, h) for h in heights]
-    succ = [_successors(n, h1, h2) for h1, h2 in zip(heights, heights[1:])]
-    # shortest suffix first: each table is built from a cached one, so the
-    # build recurses one level, not once per column
+    last = tables[-1]
+    if len(heights) == 1:
+        return [(last.columns[k],) for k in last.by_weight.get(_pack(mu), ())]
+    pre = len(heights) - 2
+    # the successor lists and weight boxes of the columns before the last two,
+    # the boxes shortest suffix first: each table is built from a cached one,
+    # so the build recurses one level, not once per column
+    succ = [_successors(n, h1, h2) for h1, h2 in zip(heights[:pre], heights[1:])]
     weight_boxes = []
     runs = ()
-    for h in reversed(heights):
+    for count, h in enumerate(reversed(heights), 1):
         if runs and runs[0][0] == h:
             runs = ((h, runs[0][1] + 1),) + runs[1:]
         else:
             runs = ((h, 1),) + runs
-        weight_boxes.append(_weight_boxes(n, runs))
+        if count > 2:
+            weight_boxes.append(_weight_boxes(n, runs))
     weight_boxes.reverse()
-    boxes_after = list(itertools.accumulate(reversed(heights)))[::-1]
-    last = len(heights) - 1
+    shift = _FIELD * n
+    high = _high_bits(2 * n)
+    index, last_left, last_columns = last.by_weight, last.left, last.columns
     results = []
     # depth first with an explicit stack, so a wide shape does not pass the
     # recursion limit: a node holds the columns placed so far, the candidates
-    # for the next one and the weight still to place
-    stack = [((), range(len(tables[0].columns)), mu)]
+    # for the next one and the packed weight still to place
+    stack = [((), range(len(tables[0].columns)), _pack(mu))]
     while stack:
-        placed, candidates, diff = stack.pop()
+        placed, candidates, d = stack.pop()
         idx = len(placed)
-        # each remaining box changes one weight entry by +-1
-        if sum(map(abs, diff)) > boxes_after[idx]:
-            continue
-        columns, weights = tables[idx].columns, tables[idx].weights
-        if idx == last:
+        columns, packed = tables[idx].columns, tables[idx].packed
+        if idx == pre:
+            # the last column has the weight left after column j, and must
+            # stand right of j: rC_j <= lC_k, the rule of ``_successors``
+            right = tables[idx].right
             for j in candidates:
-                if weights[j] == diff:
-                    results.append(placed + (columns[j],))
+                for k in index.get(d - packed[j], ()):
+                    if column_leq(right[j], last_left[k]):
+                        results.append(placed + (columns[j], last_columns[k]))
             continue
         nxt, box = succ[idx], weight_boxes[idx]
-        span = diff + tuple(map(neg, diff))
+        # d + (-d) over 2n fields, plus bit 15 of each: a field of span - box
+        # keeps its bit 15 exactly when box <= d + (-d) there
+        span = d - (d << shift) + high
         for j in candidates:
-            # some chain of columns from j must reach diff in every coordinate
-            if box[j] is not None and all(map(le, box[j], span)):
-                stack.append((placed + (columns[j],), nxt[j], tuple(map(sub, diff, weights[j]))))
+            b = box[j]
+            if b is not None and (span - b) & high == high:
+                stack.append((placed + (columns[j],), nxt[j], d - packed[j]))
 
-    return sorted(results, key=reading)
+    # the tableaux share one shape, so their readings compare as their columns
+    # do, read right to left: one C-level key, not a reading per tableau
+    results.sort(key=_right_to_left)
+    return results

@@ -6,7 +6,6 @@ the file was made; ``make_kostka_golden.py`` remakes it.  A pair of those
 weights that is not in the table has K_{lam,mu} = 0.
 """
 
-import importlib
 import pathlib
 import sys
 
@@ -97,15 +96,6 @@ def test_exact_routes_return_the_stored_form():
     for beta in betas:
         assert_stored_form(q_kostant(beta), ("q_kostant", beta))
     assert len(betas) > 1000
-
-
-@pytest.fixture
-def kfbench_checks(monkeypatch):
-    # the benchmark's own output checks, read only: no bytecode is written
-    # next to them
-    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parent.parent / "kfbench"))
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    return importlib.import_module("checks")
 
 
 def test_in_cone_pairs_are_monic_of_the_expected_degree(kfbench_checks):

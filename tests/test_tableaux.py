@@ -1,6 +1,7 @@
 import functools
 import importlib
 import itertools
+import operator
 import pkgutil
 import random
 import tracemalloc
@@ -18,7 +19,12 @@ from symplectic_kf.kostant import kostka_def
 from symplectic_kf.recurrences import kostka_morris, pieri
 from symplectic_kf.tableaux import (
     _column_text,
+    _FIELD,
+    _MAX_BOXES,
+    _high_bits,
+    _pack,
     _split,
+    _unpack,
     _weight_boxes,
     admissible_columns,
     admissible_split,
@@ -557,6 +563,19 @@ def test_counts_match_weight_multiplicities_rank3():
     check_counts_match_weight_multiplicities(3, 6)
 
 
+@pytest.mark.parametrize("n,size", [(5, 6), (6, 6), (8, 4), (10, 4)])
+def test_counts_match_freudenthal_multiplicities(kfbench_checks, n, size):
+    # past rank 3 the oracle is slow, so the counts are checked against the
+    # benchmark's own Freudenthal multiplicities; these ranges hold many one-
+    # and two-column shapes, where the last column comes from the weight index
+    weights = dominant_weights(n, size)
+    for lam in weights:
+        multiplicity = kfbench_checks.weight_multiplicities(lam)
+        for mu in weights:
+            count = len(enumerate_tableaux(lam, mu, n))
+            assert count == multiplicity.get(mu, 0), (lam, mu)
+
+
 def test_enumerate_wide_shape_builds_boxes_shallowly():
     # the weight boxes of a 600-column shape are built from the shortest
     # suffix up; built from the longest down they recurse once per column
@@ -569,6 +588,65 @@ def test_enumerate_wide_shape_walks_without_recursion():
     # 1100 columns, one level of the walk each: a walk that recursed per
     # column would pass the interpreter's recursion limit
     assert enumerate_tableaux((1100,), (1100,), 1) == [((-1,),) * 1100]
+
+
+def test_enumerate_rejects_a_shape_past_the_field_bound():
+    # the packed box test is exact only up to _MAX_BOXES boxes; |lam| is
+    # checked before any table is built, so a row of 10**9 boxes raises at
+    # once instead of listing its column heights
+    clear_caches()
+    for lam in [(10**9,), (_MAX_BOXES + 1,)]:
+        with pytest.raises(ValueError, match="boxes"):
+            enumerate_tableaux(lam, (0,), 1)
+    assert not any(cache_sizes().values())
+    assert enumerate_tableaux((_MAX_BOXES,), (-_MAX_BOXES,), 1) == [((1,),) * _MAX_BOXES]
+
+
+def packed_box_test(d, box):
+    """The walk's box test on packed weights: d + (-d) over 2n fields, plus
+    bit 15 of each, minus the box keeps every bit 15 set."""
+    n = len(d)
+    high = _high_bits(2 * n)
+    packed = _pack(d)
+    return (packed - (packed << _FIELD * n) + high - _pack(box)) & high == high
+
+
+def signed_entries(bound, size):
+    edges = st.sampled_from([-bound, -bound + 1, -1, 0, 1, bound - 1, bound])
+    return st.lists(st.one_of(edges, st.integers(-bound, bound)), min_size=size, max_size=size)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.data())
+def test_packed_box_test_matches_tuplewise_at_the_bound(data):
+    # with B = _MAX_BOXES, an entry of the weight still to place is at most
+    # 2B in absolute value and a box entry at most B.  Drawn at the edges of
+    # those ranges, and with each box field at an edge or next to the field
+    # of d + (-d) it is tested against, the packed test agrees with the
+    # tuplewise one
+    bound = _MAX_BOXES
+    n = data.draw(st.integers(1, 10), label="n")
+    d = tuple(data.draw(signed_entries(2 * bound, n), label="d"))
+    span = d + tuple(-x for x in d)
+    box = []
+    for x in span:
+        near = [max(-bound, min(bound, x + step)) for step in (-1, 0, 1)]
+        box.append(data.draw(st.one_of(st.sampled_from([-bound, bound, *near]), st.integers(-bound, bound))))
+    box = tuple(box)
+    assert packed_box_test(d, box) == all(map(operator.le, box, span))
+    assert _unpack(_pack(box), 2 * n) == box and _unpack(_pack(d), n) == d
+
+
+def test_packed_box_test_matches_tuplewise_on_one_field_at_the_bound():
+    # every rank-1 case on a grid of edge values.  One box more, B = 10923,
+    # would fail here: d = (-2B,) against the box (B, 1 - B) leaves -3B in
+    # field 0, below -2^15, and the packed test passes a box the weight is not in
+    bound = _MAX_BOXES
+    weights = [-2 * bound, -2 * bound + 1, -bound - 1, -bound, -1, 0, 1, bound, bound + 1, 2 * bound - 1, 2 * bound]
+    entries = [-bound, -bound + 1, -1, 0, 1, bound - 1, bound]
+    for x in weights:
+        for box in itertools.product(entries, repeat=2):
+            assert packed_box_test((x,), box) == (box[0] <= x and box[1] <= -x), (x, box)
 
 
 def test_enumerate_rejects_wrong_length_weight():
@@ -601,6 +679,8 @@ def package_dicts():
 def fill_package_caches():
     return (
         enumerate_tableaux((2, 2, 0), (0, 0, 0), 3),
+        # three columns: the walk tests the weight box of the first
+        enumerate_tableaux((3, 1, 0), (2, 0, 0), 3),
         pieri((1, 0), 1, 2),
         kostka_morris((4, 2, 0), (2, 0, 0), 3),
         minimal_rank(T("-1,1;2")),
@@ -728,7 +808,12 @@ def test_weight_boxes_are_exact(n, boxes):
             for col in admissible_columns(heights[0], n)
         ]
         runs = tuple((h, len(list(group))) for h, group in itertools.groupby(heights))
-        assert list(_weight_boxes(n, runs)) == expected, heights
+        assert [unpack_box(box, n) for box in _weight_boxes(n, runs)] == expected, heights
+
+
+def unpack_box(box, n):
+    """A weight box as the tuple lo + (-hi) it packs, or None."""
+    return None if box is None else _unpack(box, 2 * n)
 
 
 def test_weight_boxes_of_a_wide_row_stay_small():
